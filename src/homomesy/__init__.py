@@ -35,12 +35,14 @@ from .engine import (
     Statistic,
     check_homomesy,
     homomesic_subspace,
+    in_reduced_span,
     invariant_homomesic_decomposition,
     iterate_orbit,
     orbit_average,
     orbit_partition,
     rational_nullspace,
     rational_solve,
+    summarize_orbits,
 )
 
 __version__ = "0.1.0"
@@ -64,6 +66,7 @@ __all__ = [
     "cyclic_shift",
     "height_function",
     "homomesic_subspace",
+    "in_reduced_span",
     "ideal_from_sign_word",
     "invariant_homomesic_decomposition",
     "iterate_orbit",
@@ -79,5 +82,6 @@ __all__ = [
     "rowmotion_ideal_by_toggles",
     "sign_word",
     "stanley_thomas_word",
+    "summarize_orbits",
     "toggle",
 ]

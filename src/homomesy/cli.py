@@ -12,7 +12,8 @@ reversal-inversions (--n), lyness (--seed "x,y", rationals), sandpile
 
 Statistic selection (--stat): ideal-size / antichain-size (grids), ballot,
 inversions, firing-vector, weight or weight:i,j (suter), cells:all or
-cells:r,c;r,c (ssyt). Exit codes: 0 success, 2 usage, 3 guard exceeded,
+cells:r,c;r,c (ssyt). --expect-c applies only to 'check'; the other
+commands reject it. Exit codes: 0 success, 2 usage, 3 guard exceeded,
 4 an --expect-c expectation failed.
 """
 from __future__ import annotations
@@ -22,7 +23,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional
 
 from .dynamics import (
@@ -36,10 +37,10 @@ from .dynamics import (
 from .engine import (
     Statistic,
     check_homomesy,
+    homomesic_subspace,
+    in_reduced_span,
     iterate_orbit,
-    orbit_average,
-    orbit_partition,
-    rational_nullspace,
+    summarize_orbits,
 )
 from .gallery.lyness import LynessState, abs_h, lyness_cycle, lyness_orbit_product
 from .gallery.sandpile import (
@@ -51,32 +52,17 @@ from .gallery.sandpile import (
 from .gallery.ssyt import SSYT, all_cells, cell_sum_statistic, rect_tableaux, ssyt_promotion
 from .gallery.suter import (
     diagonal_weight_statistic,
+    is_staircase_member,
     staircase_diagrams,
     suter_rho,
     weight_statistic,
 )
-from .gallery.words import ballot_indicator, left_shift, pm_inversions, pm_words
+from .gallery.words import ballot_system, cyclic_inversions_system, reversal_inversions_system
 from .guards import GuardExceeded
 from .posets import GridPoset
 from .rationals import format_rational, parse_rational_vector
 
 EXIT_OK, EXIT_USAGE, EXIT_GUARD, EXIT_EXPECTATION = 0, 2, 3, 4
-
-GRID_SYSTEMS = (
-    "grid-rowmotion-ideals",
-    "grid-rowmotion-antichains",
-    "grid-promotion-ideals",
-    "grid-promotion-antichains",
-)
-SYSTEMS = GRID_SYSTEMS + (
-    "ballot",
-    "cyclic-inversions",
-    "reversal-inversions",
-    "lyness",
-    "sandpile",
-    "suter",
-    "ssyt",
-)
 
 
 class UsageError(Exception):
@@ -93,7 +79,8 @@ class Bundle:
     statistic: Statistic
     to_json: Callable
     to_text: Callable
-    parse_seed: Optional[Callable]
+    parse_seed: Callable
+    poset: Optional[GridPoset] = None  # the grid systems' [a]x[b], for 'subspace'
 
 
 def _require(args, names):
@@ -114,6 +101,14 @@ def _pick_stat(args, options: dict, default: str) -> Statistic:
         f"unknown statistic {wanted!r} for {args.system}; "
         f"choose from {', '.join(sorted(options))}"
     )
+
+
+def _int_seed(text: str, what: str, example: str) -> tuple[int, ...]:
+    """A comma-separated integer seed such as a permutation or a configuration."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError(f"seed must be {what}, e.g. {example}") from None
 
 
 # -- per-system bundles -------------------------------------------------------
@@ -158,6 +153,7 @@ def _grid_bundle(args) -> Bundle:
         to_json=poset.state_pairs,
         to_text=lambda s: json.dumps(poset.state_pairs(s), separators=(",", ":")),
         parse_seed=parse_seed,
+        poset=poset,
     )
 
 
@@ -174,15 +170,10 @@ def _parse_cell_pairs(text: str):
     return [tuple(p) for p in data]
 
 
-def _word_bundle(args) -> Bundle:
+def _word_bundle(args, system: Callable) -> Bundle:
     _require(args, ["a", "b"])
-    space = pm_words(args.a, args.b, args.guard)
-    if args.system == "ballot":
-        stat = _pick_stat(args, {"ballot": lambda: Statistic.scalar("ballot", ballot_indicator)},
-                          "ballot")
-    else:
-        stat = _pick_stat(args, {"inversions": lambda: Statistic.scalar("inversions", pm_inversions)},
-                          "inversions")
+    space, tau, stat = system(args.a, args.b, args.guard)
+    stat = _pick_stat(args, {stat.name: lambda: stat}, stat.name)
 
     def parse_seed(text):
         word = parse_pm_word(text)
@@ -197,7 +188,7 @@ def _word_bundle(args) -> Bundle:
         space_doc={"kind": "pm-words", "minus": args.a, "plus": args.b,
                    "states": len(space)},
         space=space,
-        tau=left_shift,
+        tau=tau,
         statistic=stat,
         to_json=format_pm_word,
         to_text=format_pm_word,
@@ -206,17 +197,12 @@ def _word_bundle(args) -> Bundle:
 
 
 def _reversal_bundle(args) -> Bundle:
-    from .gallery.words import reversal_inversions_system
-
     _require(args, ["n"])
     space, tau, stat = reversal_inversions_system(args.n, args.guard)
     stat = _pick_stat(args, {"inversions": lambda: stat}, "inversions")
 
     def parse_seed(text):
-        try:
-            perm = tuple(int(v) for v in text.split(","))
-        except ValueError:
-            raise UsageError("seed must be a comma-separated permutation, e.g. 2,3,1") from None
+        perm = _int_seed(text, "a comma-separated permutation", "2,3,1")
         if sorted(perm) != list(range(1, args.n + 1)):
             raise UsageError(f"seed must be a permutation of 1..{args.n}")
         return perm
@@ -246,10 +232,7 @@ def _sandpile_bundle(args) -> Bundle:
                       "firing-vector")
 
     def parse_seed(text):
-        try:
-            config = tuple(int(v) for v in text.split(","))
-        except ValueError:
-            raise UsageError("seed must be comma-separated grain counts, e.g. 1,0,1") from None
+        config = _int_seed(text, "comma-separated grain counts", "1,0,1")
         config = graph.validate_config(config)
         if config not in set(space):
             raise UsageError("seed is not a recurrent configuration of this graph")
@@ -290,15 +273,8 @@ def _suter_bundle(args) -> Bundle:
 
     def parse_seed(text):
         text = text.strip()
-        if text in ("", "[]"):
-            diagram = ()
-        else:
-            try:
-                diagram = tuple(int(v) for v in text.split(","))
-            except ValueError:
-                raise UsageError("seed must be comma-separated parts, e.g. 2,1") from None
-        from .gallery.suter import is_staircase_member
-
+        diagram = () if text in ("", "[]") else _int_seed(
+            text, "comma-separated parts", "2,1")
         if not is_staircase_member(n, diagram):
             raise UsageError(f"{diagram} does not fit in the staircase for n = {n}")
         return diagram
@@ -349,9 +325,14 @@ def _ssyt_bundle(args) -> Bundle:
                 tuple(int(v) for v in chunk.split(","))
                 for chunk in text.split(";")
             )
-            return SSYT(ceiling, rows)
+            tableau = SSYT(ceiling, rows)
         except ValueError as exc:
             raise UsageError(f"bad tableau seed: {exc}") from None
+        if tableau.shape != (nrows, ncols):
+            raise UsageError(
+                f"seed tableau {text!r} is {tableau.shape[0]} x {tableau.shape[1]}, "
+                f"but --a x --b is {nrows} x {ncols}")
+        return tableau
 
     return Bundle(
         system=args.system,
@@ -367,23 +348,40 @@ def _ssyt_bundle(args) -> Bundle:
     )
 
 
+# Every system the CLI knows, with the builder of its bundle. Lyness has no
+# finite space to sweep: 'check' and 'orbits' follow its one seeded orbit.
+SYSTEMS: dict[str, Optional[Callable[..., Bundle]]] = {
+    "grid-rowmotion-ideals": _grid_bundle,
+    "grid-rowmotion-antichains": _grid_bundle,
+    "grid-promotion-ideals": _grid_bundle,
+    "grid-promotion-antichains": _grid_bundle,
+    "ballot": lambda args: _word_bundle(args, ballot_system),
+    "cyclic-inversions": lambda args: _word_bundle(args, cyclic_inversions_system),
+    "reversal-inversions": _reversal_bundle,
+    "lyness": None,
+    "sandpile": _sandpile_bundle,
+    "suter": _suter_bundle,
+    "ssyt": _ssyt_bundle,
+}
+
+
 def build_bundle(args) -> Bundle:
-    if args.system in GRID_SYSTEMS:
-        return _grid_bundle(args)
-    if args.system in ("ballot", "cyclic-inversions"):
-        return _word_bundle(args)
-    if args.system == "reversal-inversions":
-        return _reversal_bundle(args)
-    if args.system == "sandpile":
-        return _sandpile_bundle(args)
-    if args.system == "suter":
-        return _suter_bundle(args)
-    if args.system == "ssyt":
-        return _ssyt_bundle(args)
-    raise UsageError(f"unknown system {args.system!r}")
+    return SYSTEMS[args.system](args)
 
 
 # -- output -------------------------------------------------------------------
+
+def _emit(args, doc: dict, csv_rows, table_lines) -> None:
+    """Print doc as JSON, csv_rows as CSV or table_lines as text, as --format
+    asks. csv_rows and table_lines may be lazy: only the chosen one is read."""
+    if args.format == "json":
+        print(json.dumps(doc, indent=2))
+    elif args.format == "csv":
+        csv.writer(sys.stdout).writerows(csv_rows)
+    else:
+        for line in table_lines:
+            print(line)
+
 
 def _fmt_average(average) -> str:
     if len(average) == 1:
@@ -391,48 +389,40 @@ def _fmt_average(average) -> str:
     return "(" + ", ".join(format_rational(v) for v in average) + ")"
 
 
-def _csv_average(average) -> str:
-    return ";".join(format_rational(v) for v in average)
-
-
-def _print_orbit_table(header_lines, rows, footer_lines):
-    for line in header_lines:
-        print(line)
-    if not rows:
-        for line in footer_lines:
-            print(line)
-        return
-    widths = [max(len(str(row[i])) for row in rows) for i in range(len(rows[0]))]
+def _orbit_table(bundle, summaries, footer_lines):
+    yield f"system: {bundle.system}"
+    yield f"map: {bundle.map_name}"
+    yield f"space: {json.dumps(bundle.space_doc, separators=(',', ': '))}"
+    yield f"statistic: {bundle.statistic.name}"
+    rows = [
+        (idx, s.period, _fmt_average(s.average), bundle.to_text(s.representative))
+        for idx, s in enumerate(summaries, start=1)
+    ]
     titles = ("orbit", "period", "average", "representative")
-    widths = [max(w, len(t)) for w, t in zip(widths, titles)]
-    print("  ".join(t.ljust(w) for t, w in zip(titles, widths)))
+    widths = [max(len(t), *(len(str(row[i])) for row in rows))
+              for i, t in enumerate(titles)]
+    yield "  ".join(t.ljust(w) for t, w in zip(titles, widths))
     for row in rows:
-        print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
-    for line in footer_lines:
-        print(line)
+        yield "  ".join(str(v).ljust(w) for v, w in zip(row, widths))
+    yield from footer_lines
 
 
-def _emit_orbit_listing(args, doc, summaries, bundle, footer_lines):
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["representative", "period", "average"])
-        for s in summaries:
-            writer.writerow([bundle.to_text(s.representative), s.period,
-                             _csv_average(s.average)])
-    else:
-        header = [
-            f"system: {bundle.system}",
-            f"map: {bundle.map_name}",
-            f"space: {json.dumps(bundle.space_doc, separators=(',', ': '))}",
-            f"statistic: {bundle.statistic.name}",
-        ]
-        rows = [
-            (idx, s.period, _fmt_average(s.average), bundle.to_text(s.representative))
-            for idx, s in enumerate(summaries, start=1)
-        ]
-        _print_orbit_table(header, rows, footer_lines)
+def _emit_report(args, bundle: Bundle, report, verdict: bool) -> None:
+    """The orbit listing of a report; with verdict, also the homomesy verdict."""
+    doc = report.document(map_name=bundle.map_name, space=bundle.space_doc,
+                          serialize_state=bundle.to_json, verdict=verdict)
+    summaries = report.orbit_summaries
+    footer = [
+        f"homomesic: {'yes' if report.homomesic else 'no'}",
+        f"c: {_fmt_average(report.c) if report.homomesic else '-'}",
+        f"global average: {_fmt_average(report.global_average)}",
+    ] if verdict else []
+    csv_rows = chain(
+        [("representative", "period", "average")],
+        ((bundle.to_text(s.representative), s.period,
+          ";".join(format_rational(v) for v in s.average)) for s in summaries),
+    )
+    _emit(args, doc, csv_rows, _orbit_table(bundle, summaries, footer))
 
 
 def _check_expectation(args, homomesic: bool, c) -> int:
@@ -464,14 +454,7 @@ def run_check(args) -> int:
                          "'orbits' (and to lyness)")
     bundle = build_bundle(args)
     report = check_homomesy(bundle.tau, bundle.space, bundle.statistic, guard=args.guard)
-    doc = report.document(map_name=bundle.map_name, space=bundle.space_doc,
-                          serialize_state=bundle.to_json)
-    footer = [
-        f"homomesic: {'yes' if report.homomesic else 'no'}",
-        f"c: {_fmt_average(report.c) if report.homomesic else '-'}",
-        f"global average: {_fmt_average(report.global_average)}",
-    ]
-    _emit_orbit_listing(args, doc, report.orbit_summaries, bundle, footer)
+    _emit_report(args, bundle, report, verdict=True)
     return _check_expectation(args, report.homomesic, report.c)
 
 
@@ -479,33 +462,12 @@ def run_orbits(args) -> int:
     if args.system == "lyness":
         return _run_lyness(args, verdict=False)
     bundle = build_bundle(args)
-    if args.seed is not None:
-        if bundle.parse_seed is None:
-            raise UsageError(f"system {args.system!r} does not take a seed")
-        orbits = [iterate_orbit(bundle.tau, bundle.parse_seed(args.seed), args.guard)]
+    if args.seed is None:
+        report = check_homomesy(bundle.tau, bundle.space, bundle.statistic, guard=args.guard)
     else:
-        orbits = orbit_partition(bundle.tau, bundle.space, args.guard)
-    from .engine import OrbitSummary
-
-    summaries = [
-        OrbitSummary(o.representative, o.period, orbit_average(bundle.statistic, o))
-        for o in orbits
-    ]
-    doc = {
-        "map": bundle.map_name,
-        "space": bundle.space_doc,
-        "statistic": bundle.statistic.name,
-        "orbits": [
-            {
-                "representative": bundle.to_json(s.representative),
-                "period": s.period,
-                "average": format_rational(s.average[0]) if len(s.average) == 1
-                else [format_rational(v) for v in s.average],
-            }
-            for s in summaries
-        ],
-    }
-    _emit_orbit_listing(args, doc, summaries, bundle, [])
+        orbit = iterate_orbit(bundle.tau, bundle.parse_seed(args.seed), args.guard)
+        report = summarize_orbits([orbit], bundle.statistic)
+    _emit_report(args, bundle, report, verdict=False)
     return EXIT_OK
 
 
@@ -522,6 +484,10 @@ def _run_lyness(args, verdict: bool) -> int:
     cycle = lyness_cycle(state)
     product = lyness_orbit_product(state)
     homomesic = product == 1
+
+    def pair(s):
+        return format_rational(s.x), format_rational(s.y)
+
     doc = {
         "map": "lyness step (x, y) -> (y, (y+1)/x)",
         "space": {"kind": "rational-pairs",
@@ -529,132 +495,89 @@ def _run_lyness(args, verdict: bool) -> int:
         "statistic": "log|h(x)| with h(z) = 1/z + 1/z^2, certified by the exact "
                      "product of |h(x)| over the orbit",
         "orbits": [{
-            "representative": [format_rational(state.x), format_rational(state.y)],
+            "representative": list(pair(state)),
             "period": len(cycle),
-            "states": [[format_rational(s.x), format_rational(s.y)] for s in cycle],
+            "states": [list(pair(s)) for s in cycle],
             "abs-h-values": [format_rational(abs_h(s.x)) for s in cycle],
             "abs-h-product": format_rational(product),
         }],
         "homomesic": homomesic,
         "c": "0" if homomesic else None,
     }
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["x", "y", "abs_h_of_x"])
-        for s in cycle:
-            writer.writerow([format_rational(s.x), format_rational(s.y),
-                             format_rational(abs_h(s.x))])
-    else:
-        print("system: lyness")
-        print(f"orbit of ({format_rational(state.x)}, {format_rational(state.y)}):"
-              f" period {len(cycle)}")
-        for s in cycle:
-            print(f"  ({format_rational(s.x)}, {format_rational(s.y)})"
-                  f"   |h(x)| = {format_rational(abs_h(s.x))}")
-        print(f"product of |h(x)| over the orbit: {format_rational(product)}")
-        if verdict:
-            print(f"homomesic: {'yes (log|h| is 0-mesic)' if homomesic else 'no'}")
+    csv_rows = chain([("x", "y", "abs_h_of_x")],
+                     ((*pair(s), format_rational(abs_h(s.x))) for s in cycle))
+    table = chain(
+        ["system: lyness", "orbit of (%s, %s): period %d" % (*pair(state), len(cycle))],
+        ("  (%s, %s)   |h(x)| = %s" % (*pair(s), format_rational(abs_h(s.x)))
+         for s in cycle),
+        [f"product of |h(x)| over the orbit: {format_rational(product)}"],
+        [f"homomesic: {'yes (log|h| is 0-mesic)' if homomesic else 'no'}"] if verdict else [],
+    )
+    _emit(args, doc, csv_rows, table)
     if verdict:
-        return _check_expectation(args, homomesic, (Fraction(0),))
+        return _check_expectation(args, homomesic, (0,))
     return EXIT_OK
 
 
-def run_subspace(args) -> int:
-    if args.system not in GRID_SYSTEMS:
-        raise UsageError("'subspace' is available for the grid systems only")
-    if args.expect_c is not None:
-        raise UsageError("--expect-c does not apply to 'subspace'")
-    _require(args, ["a", "b"])
-    poset = GridPoset(args.a, args.b)
-    on_ideals = args.system.endswith("-ideals")
-    promo = "promotion" in args.system
-    if on_ideals:
-        space = poset.enumerate_order_ideals(args.guard)
-        tau = (lambda s: promotion_ideal(poset, s)) if promo else (
-            lambda s: rowmotion_ideal(poset, s))
-    else:
-        space = poset.enumerate_antichains(args.guard)
-        tau = (lambda s: promotion_antichain(poset, s)) if promo else (
-            lambda s: rowmotion_antichain(poset, s))
+def _named_generators(poset: GridPoset, on_ideals: bool):
+    """The paper's homomesic statistics on [a]x[b], as (name, coefficients
+    over poset.elements): file sums and sums of opposite elements on ideals,
+    fiber sums and differences of opposite elements on antichains."""
+    def combination(*terms):
+        coeffs = [0] * len(poset.elements)
+        for sign, members in terms:
+            for x in members:
+                coeffs[poset.index[x]] += sign
+        return coeffs
 
-    elements = poset.elements
+    pairs = [(x, poset.opposite(x)) for x in poset.elements]
+    if on_ideals:
+        return ([(f"file-sum[{f}]", combination((1, poset.file_members(f))))
+                 for f in poset.files]
+                + [(f"opposite-sum[{x}+{y}]", combination((1, (x, y))))
+                   for x, y in pairs if x <= y])
+    return ([(f"fiber-sum[k={k}]", combination((1, poset.positive_fiber(k))))
+             for k in range(1, poset.a + 1)]
+            + [(f"fiber-sum[l={l}]", combination((1, poset.negative_fiber(l))))
+               for l in range(1, poset.b + 1)]
+            + [(f"opposite-difference[{x}-{y}]", combination((1, (x,)), (-1, (y,))))
+               for x, y in pairs if x < y])
+
+
+def run_subspace(args) -> int:
+    if SYSTEMS[args.system] is not _grid_bundle:
+        raise UsageError("'subspace' is available for the grid systems only")
+    bundle = build_bundle(args)
+    poset, elements = bundle.poset, bundle.poset.elements
     basis = [
         Statistic.scalar(f"indicator[{k},{l}]",
                          (lambda i: lambda s: s.mask >> i & 1)(poset.index[(k, l)]))
         for (k, l) in elements
     ]
-    orbits = orbit_partition(tau, space, args.guard)
-    averages = [[orbit_average(b, o)[0] for b in basis] for o in orbits]
-    reference = averages[0]
-    rows = [[row[j] - reference[j] for j in range(len(basis))] for row in averages[1:]]
-    vectors = rational_nullspace(rows, num_columns=len(basis))
-
-    def present(coeffs) -> bool:
-        dots = [
-            sum((c * row[j] for j, c in enumerate(coeffs)), Fraction(0))
-            for row in averages
-        ]
-        return all(d == dots[0] for d in dots)
-
-    generators = []
-    if on_ideals:
-        for f in poset.files:
-            coeffs = [1 if l - k == f else 0 for (k, l) in elements]
-            generators.append((f"file-sum[{f}]", coeffs))
-        for x in elements:
-            y = poset.opposite(x)
-            if x > y:
-                continue
-            coeffs = [0] * len(elements)
-            coeffs[poset.index[x]] += 1
-            coeffs[poset.index[y]] += 1
-            generators.append((f"opposite-sum[{x}+{y}]", coeffs))
-    else:
-        for k in range(1, poset.a + 1):
-            coeffs = [1 if kk == k else 0 for (kk, _) in elements]
-            generators.append((f"fiber-sum[k={k}]", coeffs))
-        for l in range(1, poset.b + 1):
-            coeffs = [1 if ll == l else 0 for (_, ll) in elements]
-            generators.append((f"fiber-sum[l={l}]", coeffs))
-        for x in elements:
-            y = poset.opposite(x)
-            if x >= y:
-                continue
-            coeffs = [0] * len(elements)
-            coeffs[poset.index[x]] = 1
-            coeffs[poset.index[y]] = -1
-            generators.append((f"opposite-difference[{x}-{y}]", coeffs))
-
-    checked = [(name, present(coeffs)) for name, coeffs in generators]
+    vectors = homomesic_subspace(bundle.tau, bundle.space, basis, args.guard)
+    checked = [(name, in_reduced_span(coeffs, vectors))
+               for name, coeffs in _named_generators(poset, args.system.endswith("-ideals"))]
     doc = {
         "system": args.system,
-        "space": {"kind": "order-ideals" if on_ideals else "antichains",
-                  "poset": {"a": poset.a, "b": poset.b}, "states": len(space)},
+        "space": bundle.space_doc,
         "element_order": [[k, l] for (k, l) in elements],
         "dimension": len(vectors),
         "basis": [[format_rational(v) for v in vec] for vec in vectors],
         "generators": [{"name": name, "present": ok} for name, ok in checked],
     }
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow([f"{k},{l}" for (k, l) in elements])
-        for vec in vectors:
-            writer.writerow([format_rational(v) for v in vec])
-    else:
-        print(f"system: {args.system}")
-        print(f"space: {len(space)} states over [{poset.a}]x[{poset.b}]")
-        print(f"element order: {', '.join(str(x) for x in elements)}")
-        print(f"dimension: {len(vectors)}")
-        print("basis vectors:")
-        for vec in vectors:
-            print("  [" + ", ".join(format_rational(v) for v in vec) + "]")
-        print("named generators:")
-        for name, ok in checked:
-            print(f"  {'present' if ok else 'ABSENT '}  {name}")
+    csv_rows = chain([[f"{k},{l}" for (k, l) in elements]],
+                     ([format_rational(v) for v in vec] for vec in vectors))
+    table = chain(
+        [f"system: {args.system}",
+         f"space: {len(bundle.space)} states over [{poset.a}]x[{poset.b}]",
+         f"element order: {', '.join(str(x) for x in elements)}",
+         f"dimension: {len(vectors)}",
+         "basis vectors:"],
+        ("  [" + ", ".join(format_rational(v) for v in vec) + "]" for vec in vectors),
+        ["named generators:"],
+        (f"  {'present' if ok else 'ABSENT '}  {name}" for name, ok in checked),
+    )
+    _emit(args, doc, csv_rows, table)
     return EXIT_OK
 
 
@@ -672,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("subspace", "homomesic subspace over element-indicator statistics"),
     ):
         cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("system", choices=SYSTEMS)
+        cmd.add_argument("system", choices=tuple(SYSTEMS))
         cmd.add_argument("--a", type=int)
         cmd.add_argument("--b", type=int)
         cmd.add_argument("--n", type=int)
@@ -680,8 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--stat")
         cmd.add_argument("--seed")
         cmd.add_argument("--expect-c", dest="expect_c",
-                         help="fail (exit 4) unless homomesic with this constant, "
-                              "e.g. 3/2 or 1/2,1,1/2 for vector statistics")
+                         help="'check' only: fail (exit 4) unless homomesic with this "
+                              "constant, e.g. 3/2 or 1/2,1,1/2 for vector statistics")
         cmd.add_argument("--format", choices=("table", "json", "csv"), default="table")
         cmd.add_argument("--guard", type=int,
                          help="state/step budget replacing the defaults")
@@ -692,6 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.expect_c is not None and args.command != "check":
+            raise UsageError(f"--expect-c applies only to 'check', not to {args.command!r}")
         if args.command == "check":
             return run_check(args)
         if args.command == "orbits":

@@ -139,8 +139,13 @@ class HomomesyReport:
     homomesic: bool
     c: Optional[tuple[Fraction, ...]]
 
-    def document(self, *, map_name: str, space, serialize_state=repr) -> dict:
-        """Structured JSON-ready form; rationals as lowest-terms p/q strings."""
+    def document(self, *, map_name: str, space, serialize_state=repr,
+                 verdict: bool = True) -> dict:
+        """Structured JSON-ready form; rationals as lowest-terms p/q strings.
+
+        With verdict=False the document lists the orbits only, without the
+        global average, the verdict and c.
+        """
         def fmt(vec):
             if vec is None:
                 return None
@@ -148,7 +153,7 @@ class HomomesyReport:
                 return format_rational(vec[0])
             return [format_rational(v) for v in vec]
 
-        return {
+        doc = {
             "map": map_name,
             "space": space,
             "statistic": self.statistic,
@@ -160,16 +165,22 @@ class HomomesyReport:
                 }
                 for o in self.orbit_summaries
             ],
-            "global_average": fmt(self.global_average),
-            "homomesic": self.homomesic,
-            "c": fmt(self.c),
         }
+        if verdict:
+            doc.update(global_average=fmt(self.global_average),
+                       homomesic=self.homomesic, c=fmt(self.c))
+        return doc
 
 
 def check_homomesy(tau: Callable, space, statistic: Statistic,
                    guard: int | None = None) -> HomomesyReport:
     """Partition the space into orbits and compare orbit averages exactly."""
-    orbits = orbit_partition(tau, space, guard)
+    return summarize_orbits(orbit_partition(tau, space, guard), statistic)
+
+
+def summarize_orbits(orbits, statistic: Statistic) -> HomomesyReport:
+    """Average the statistic over each given orbit and compare the averages
+    exactly; the report covers those orbits only."""
     if not orbits:
         raise ValueError("cannot check homomesy on an empty state space")
     summaries = tuple(
@@ -249,6 +260,27 @@ def homomesic_subspace(tau: Callable, space, basis, guard: int | None = None):
 
 
 # -- exact linear algebra -----------------------------------------------------
+
+def in_reduced_span(vector, kernel) -> bool:
+    """Whether vector lies in the span of a basis in rational_nullspace's
+    canonical reduced form.
+
+    Each basis vector there is 1 at its free column, which is its last
+    nonzero entry, and 0 at every other free column. So the only candidate
+    combination weights each basis vector by vector's entry at that
+    basis vector's free column.
+    """
+    combination = [Fraction(0)] * len(vector)
+    for basis_vector in kernel:
+        if len(basis_vector) != len(vector):
+            raise ValueError("vector and basis have different lengths")
+        free = max(i for i, v in enumerate(basis_vector) if v != 0)
+        weight = exact(vector[free])
+        if weight:
+            for i, v in enumerate(basis_vector):
+                combination[i] += weight * v
+    return all(exact(v) == w for v, w in zip(vector, combination))
+
 
 def _to_fraction_rows(rows, num_columns):
     mat = [[exact(v) for v in row] for row in rows]

@@ -327,6 +327,3 @@ class GridPoset(FinitePoset):
     def state_pairs(self, state) -> list[list[int]]:
         """Ideal/antichain as a sorted list of [k, l] pairs (JSON shape)."""
         return [[k, l] for (k, l) in self.members(state)]
-
-    def parse_pairs(self, pairs):
-        return [tuple(p) for p in pairs]

@@ -31,10 +31,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
-def format_rational_vector(values) -> list[str]:
-    return [format_rational(v) for v in values]
-
-
 def parse_rational_vector(text: str) -> tuple[Fraction, ...]:
     """Parse a comma-separated list of rationals ("1/2,1,3/4")."""
     return tuple(parse_rational(part) for part in text.split(","))

@@ -2,10 +2,19 @@
 import csv
 import io
 import json
+from collections import Counter
 
 import pytest
 
 from homomesy.cli import main
+from homomesy.dynamics import (
+    promotion_antichain,
+    promotion_ideal,
+    rowmotion_antichain,
+    rowmotion_ideal,
+)
+from homomesy.engine import Statistic, orbit_average, orbit_partition
+from homomesy.posets import GridPoset
 
 CYCLE4 = """1 2 1
 2 1 1
@@ -249,6 +258,45 @@ class TestOrbits:
         assert rows[0] == ["representative", "period", "average"]
         assert len(rows) == 1 + 2  # Y_4 splits into two orbits of size 4
 
+    @pytest.mark.parametrize("argv", [
+        ("grid-rowmotion-ideals", "--a", "2", "--b", "2"),
+        ("ballot", "--a", "2", "--b", "2", "--seed", "+-+-"),
+    ], ids=["grid", "seeded-word"])
+    def test_expect_c_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "orbits", *argv, "--expect-c", "2")
+        assert code == 2
+        assert out == ""
+        assert "--expect-c" in err
+
+    def test_ssyt_seed_of_the_wrong_shape_is_named(self, capsys):
+        code, out, err = run(capsys, "orbits", "ssyt", "--a", "3", "--b", "3",
+                             "--k", "6", "--seed", "1,2;3,4")
+        assert code == 2
+        assert "1,2;3,4" in err
+        assert "2 x 2" in err and "3 x 3" in err
+
+
+SAMPLE_SYSTEMS = [
+    ("grid-promotion-antichains", "--a", "3", "--b", "2"),
+    ("cyclic-inversions", "--a", "2", "--b", "3"),
+    ("reversal-inversions", "--n", "4"),
+    ("suter", "--n", "5"),
+    ("ssyt", "--a", "2", "--b", "2", "--k", "4"),
+    ("sandpile",),
+]
+
+
+@pytest.mark.parametrize("system", SAMPLE_SYSTEMS, ids=lambda argv: argv[0])
+def test_orbits_lists_the_orbits_that_check_reports(capsys, graph_file, system):
+    argv = system + (("--graph", graph_file) if system[0] == "sandpile" else ())
+    listings = {}
+    for command in ("orbits", "check"):
+        code, out, err = run(capsys, command, *argv, "--format", "json")
+        assert code == 0
+        listings[command] = json.loads(out)
+    assert listings["orbits"]["orbits"] == listings["check"]["orbits"]
+    assert "homomesic" not in listings["orbits"]
+
 
 class TestLyness:
     def test_default_seed(self, capsys):
@@ -286,6 +334,11 @@ class TestLyness:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["x", "y", "abs_h_of_x"]
         assert len(rows) == 6
+
+    def test_orbits_rejects_expect_c(self, capsys):
+        code, out, err = run(capsys, "orbits", "lyness", "--expect-c", "0")
+        assert code == 2
+        assert out == ""
 
 
 class TestSubspace:
@@ -338,3 +391,67 @@ class TestSubspace:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["1,1", "1,2", "2,1", "2,2"]
         assert len(rows) == 4
+
+
+GRID_MAPS = {
+    "grid-rowmotion-ideals": (rowmotion_ideal, True),
+    "grid-promotion-ideals": (promotion_ideal, True),
+    "grid-rowmotion-antichains": (rowmotion_antichain, False),
+    "grid-promotion-antichains": (promotion_antichain, False),
+}
+
+
+def paper_generators(poset, on_ideals):
+    """The named generators, as {name: coefficients by element}."""
+    pairs = [(x, poset.opposite(x)) for x in poset.elements]
+    if on_ideals:
+        gens = {f"file-sum[{f}]": Counter(x for x in poset.elements
+                                          if x[1] - x[0] == f)
+                for f in range(1 - poset.a, poset.b)}
+        gens.update({f"opposite-sum[{x}+{y}]": Counter([x, y])
+                     for x, y in pairs if x <= y})
+        return gens
+    gens = {f"fiber-sum[k={k}]": Counter(x for x in poset.elements if x[0] == k)
+            for k in range(1, poset.a + 1)}
+    gens.update({f"fiber-sum[l={l}]": Counter(x for x in poset.elements if x[1] == l)
+                 for l in range(1, poset.b + 1)})
+    gens.update({f"opposite-difference[{x}-{y}]": Counter({x: 1, y: -1})
+                 for x, y in pairs if x < y})
+    return gens
+
+
+def flags_from_orbit_averages(system, a, b):
+    """A generator is present when its dot product with the orbit averages of
+    the element indicators is the same on every orbit."""
+    tau_of, on_ideals = GRID_MAPS[system]
+    poset = GridPoset(a, b)
+    space = poset.enumerate_order_ideals() if on_ideals else poset.enumerate_antichains()
+    orbits = orbit_partition(lambda s: tau_of(poset, s), space)
+    indicators = {
+        x: Statistic.scalar(str(x), (lambda i: lambda s: s.mask >> i & 1)(poset.index[x]))
+        for x in poset.elements
+    }
+    averages = [{x: orbit_average(stat, o)[0] for x, stat in indicators.items()}
+                for o in orbits]
+    return {
+        name: len({sum(c * row[x] for x, c in coeffs.items()) for row in averages}) == 1
+        for name, coeffs in paper_generators(poset, on_ideals).items()
+    }
+
+
+@pytest.mark.parametrize("system", sorted(GRID_MAPS))
+def test_generator_flags_match_the_orbit_averages(capsys, system):
+    absent = {}
+    for a in range(1, 5):
+        for b in range(1, 5):
+            code, out, err = run(capsys, "subspace", system, "--a", str(a),
+                                 "--b", str(b), "--format", "json")
+            assert code == 0
+            reported = {g["name"]: g["present"] for g in json.loads(out)["generators"]}
+            expected = flags_from_orbit_averages(system, a, b)
+            assert reported == expected, (a, b)
+            absent[a, b] = sum(not ok for ok in expected.values())
+    if system == "grid-promotion-antichains":
+        assert absent[3, 4] == 10
+    else:
+        assert not any(absent.values())

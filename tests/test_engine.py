@@ -10,6 +10,7 @@ from homomesy.engine import (
     Statistic,
     check_homomesy,
     homomesic_subspace,
+    in_reduced_span,
     invariant_homomesic_decomposition,
     iterate_orbit,
     orbit_average,
@@ -249,6 +250,28 @@ class TestNullspace:
                 vec[k] == 1 and all(other is vec or other[k] == 0 for other in vectors)
                 for k in range(4)
             )
+
+
+
+class TestInReducedSpan:
+    def test_vector_outside_the_span(self):
+        kernel = rational_nullspace([[1, 2, 3]])  # the plane x + 2y + 3z = 0
+        assert in_reduced_span((-2, 1, 0), kernel)
+        assert in_reduced_span((-4, Fraction(1, 2), 1), kernel)
+        assert not in_reduced_span((1, 1, 1), kernel)
+        assert not in_reduced_span((0, 0, 1), kernel)
+
+    def test_empty_kernel_holds_only_zero(self):
+        assert in_reduced_span((0, 0), [])
+        assert not in_reduced_span((0, 1), [])
+
+    @given(st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+        min_size=1, max_size=4),
+        st.lists(st.integers(min_value=-2, max_value=2), min_size=4, max_size=4))
+    def test_membership_is_annihilation(self, rows, vector):
+        annihilated = all(sum(r * v for r, v in zip(row, vector)) == 0 for row in rows)
+        assert in_reduced_span(vector, rational_nullspace(rows)) == annihilated
 
 
 class TestSolve:
