@@ -13,14 +13,16 @@ reversal-inversions (--n), lyness (--seed "x,y", rationals), sandpile
 Statistic selection (--stat): ideal-size / antichain-size (grids), ballot,
 inversions, firing-vector, weight or weight:i,j (suter), cells:all or
 cells:r,c;r,c (ssyt). --expect-c applies only to 'check'; the other
-commands reject it. Exit codes: 0 success, 2 usage, 3 guard exceeded,
-4 an --expect-c expectation failed.
+commands reject it, and 'subspace' rejects --seed and --stat too. Exit
+codes: 0 success, 2 usage, 3 guard exceeded, 4 an --expect-c expectation
+failed.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -228,7 +230,7 @@ def _sandpile_bundle(args) -> Bundle:
     except OSError as exc:
         raise UsageError(f"cannot read graph file: {exc}") from None
     space = sandpile_recurrents(graph, args.guard)
-    stat = _pick_stat(args, {"firing-vector": lambda: firing_statistic(graph)},
+    stat = _pick_stat(args, {"firing-vector": lambda: firing_statistic(graph, args.guard)},
                       "firing-vector")
 
     def parse_seed(text):
@@ -373,14 +375,22 @@ def build_bundle(args) -> Bundle:
 
 def _emit(args, doc: dict, csv_rows, table_lines) -> None:
     """Print doc as JSON, csv_rows as CSV or table_lines as text, as --format
-    asks. csv_rows and table_lines may be lazy: only the chosen one is read."""
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        csv.writer(sys.stdout).writerows(csv_rows)
-    else:
-        for line in table_lines:
-            print(line)
+    asks. csv_rows and table_lines may be lazy: only the chosen one is read.
+    A reader that closes the pipe early ends the output, not the run."""
+    try:
+        if args.format == "json":
+            print(json.dumps(doc, indent=2))
+        elif args.format == "csv":
+            csv.writer(sys.stdout).writerows(csv_rows)
+        else:
+            for line in table_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # later writes, and the flush at exit, go to the null device instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _fmt_average(average) -> str:
@@ -617,6 +627,10 @@ def main(argv=None) -> int:
     try:
         if args.expect_c is not None and args.command != "check":
             raise UsageError(f"--expect-c applies only to 'check', not to {args.command!r}")
+        for flag, value in (("--seed", args.seed), ("--stat", args.stat)):
+            if value is not None and args.command == "subspace":
+                raise UsageError(f"'subspace' searches the indicator statistics of the whole "
+                                 f"space; it takes no {flag}")
         if args.command == "check":
             return run_check(args)
         if args.command == "orbits":

@@ -2,8 +2,10 @@
 
 Works over any finite invertible dynamical system whose states are
 hashable and mutually comparable (the smallest state of an orbit is its
-canonical representative). All averaging is done in fractions.Fraction;
-a float anywhere raises.
+canonical representative). A statistic value is an int or a Fraction;
+anything else, a float included, raises. Check, decomposition and subspace
+all average through summarize_orbits: orbit sums stay exact ints (or
+Fractions) and each orbit component costs one Fraction division.
 """
 from __future__ import annotations
 
@@ -15,13 +17,11 @@ from .guards import DEFAULT_ORBIT_GUARD, GuardExceeded
 from .rationals import exact, format_rational
 
 
-def _as_vector(value, dimension: int) -> tuple[Fraction, ...]:
-    if isinstance(value, (int, Fraction)):
-        vec = (exact(value),)
-    elif isinstance(value, float):
-        raise TypeError("statistic produced a float; statistics must be exact")
-    else:
-        vec = tuple(exact(v) for v in value)
+def _as_vector(value, dimension: int) -> tuple:
+    vec = (value,) if isinstance(value, (int, Fraction, float, str)) else tuple(value)
+    for v in vec:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"statistic value {v!r} is a {type(v).__name__}, not exact")
     if len(vec) != dimension:
         raise ValueError(f"statistic value has dimension {len(vec)}, declared {dimension}")
     return vec
@@ -31,15 +31,16 @@ def _as_vector(value, dimension: int) -> tuple[Fraction, ...]:
 class Statistic:
     """A named exact statistic: state -> vector of rationals.
 
-    fn may return an int, a Fraction, or a sequence of them; the declared
-    dimension is enforced on every evaluation and floats are rejected.
+    fn may return an int, a Fraction, or a sequence of them, which come back
+    unconverted as a tuple; the declared dimension is enforced on every
+    evaluation and any other value (a float, a digit string) is rejected.
     """
 
     name: str
     dimension: int
     fn: Callable
 
-    def __call__(self, state) -> tuple[Fraction, ...]:
+    def __call__(self, state) -> tuple:
         return _as_vector(self.fn(state), self.dimension)
 
     @classmethod
@@ -107,14 +108,10 @@ def orbit_partition(tau: Callable, space, guard: int | None = None) -> list[Orbi
 
 
 def orbit_average(statistic: Statistic, orbit: Orbit) -> tuple[Fraction, ...]:
-    """Componentwise exact mean of the statistic over one orbit."""
-    dim = statistic.dimension
-    total = [Fraction(0)] * dim
-    for state in orbit.states:
-        value = statistic(state)
-        for i in range(dim):
-            total[i] += value[i]
-    return tuple(t / orbit.period for t in total)
+    """Componentwise exact mean of the statistic over one orbit: native
+    (int or Fraction) sums, then one Fraction division per component."""
+    totals = (sum(column) for column in zip(*map(statistic, orbit.states)))
+    return tuple(Fraction(t, orbit.period) for t in totals)
 
 
 @dataclass(frozen=True)
@@ -213,11 +210,9 @@ def invariant_homomesic_decomposition(tau: Callable, space, statistic: Statistic
     pointwise. The splitting is unique with those properties.
     """
     orbits = orbit_partition(tau, space, guard)
-    mean_by_state = {}
-    for orbit in orbits:
-        avg = orbit_average(statistic, orbit)
-        for s in orbit.states:
-            mean_by_state[s] = avg
+    summaries = summarize_orbits(orbits, statistic).orbit_summaries
+    mean_by_state = {s: summary.average
+                     for orbit, summary in zip(orbits, summaries) for s in orbit.states}
 
     def mean_part(state):
         return mean_by_state[state]
@@ -244,18 +239,9 @@ def homomesic_subspace(tau: Callable, space, basis, guard: int | None = None):
         raise ValueError("basis must contain at least one statistic")
     if any(b.dimension != 1 for b in basis):
         raise ValueError("subspace search requires scalar statistics")
-    orbits = orbit_partition(tau, space, guard)
-    if not orbits:
-        raise ValueError("cannot search an empty state space")
-    averages = [
-        [orbit_average(b, orbit)[0] for b in basis]
-        for orbit in orbits
-    ]
-    reference = averages[0]
-    rows = [
-        [row[j] - reference[j] for j in range(len(basis))]
-        for row in averages[1:]
-    ]
+    stacked = Statistic("basis", len(basis), lambda s: [b(s)[0] for b in basis])
+    first, *rest = summarize_orbits(orbit_partition(tau, space, guard), stacked).orbit_summaries
+    rows = [[v - r for v, r in zip(summary.average, first.average)] for summary in rest]
     return rational_nullspace(rows, num_columns=len(basis))
 
 

@@ -201,10 +201,12 @@ def sandpile_recurrents(graph: SandpileGraph, guard: int | None = None):
     """Recurrent configurations: the cycle states of the one-step dynamic.
 
     Peels states of in-degree zero from the functional graph of tau over
-    all stable configurations; whatever survives lies on a cycle.
+    all stable configurations; whatever survives lies on a cycle. guard
+    caps both the number of stable configurations and the firings of each
+    step.
     """
     states = stable_configurations(graph, guard)
-    successor = {s: sandpile_tau(graph, s) for s in states}
+    successor = {s: sandpile_tau(graph, s, guard) for s in states}
     indegree = {s: 0 for s in states}
     for t in successor.values():
         indegree[t] += 1
@@ -220,15 +222,16 @@ def sandpile_recurrents(graph: SandpileGraph, guard: int | None = None):
     return sorted(s for s in states if s not in removed)
 
 
-def firing_statistic(graph: SandpileGraph) -> Statistic:
-    """Vector statistic: per-vertex firings while stabilizing sigma + 1_source."""
+def firing_statistic(graph: SandpileGraph, guard: int | None = None) -> Statistic:
+    """Vector statistic: per-vertex firings while stabilizing sigma + 1_source,
+    within a budget of guard firings."""
 
     def fire_counts(config):
         config = graph.validate_config(config)
         bumped = tuple(
             g + (1 if v == graph.source else 0) for g, v in zip(config, graph.nonsink)
         )
-        _, fired = sandpile_stabilize(graph, bumped)
+        _, fired = sandpile_stabilize(graph, bumped, guard)
         return fired
 
     return Statistic("firing-vector", len(graph.nonsink), fire_counts)

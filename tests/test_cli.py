@@ -2,10 +2,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import homomesy
 from homomesy.cli import main
 from homomesy.dynamics import (
     promotion_antichain,
@@ -384,6 +389,14 @@ class TestSubspace:
                              "--a", "2", "--b", "2", "--expect-c", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "[[1,1]]"), ("--stat", "ideal-size")])
+    def test_seed_and_stat_rejected(self, capsys, flag, value):
+        code, out, err = run(capsys, "subspace", "grid-rowmotion-ideals",
+                             "--a", "2", "--b", "2", flag, value)
+        assert code == 2
+        assert out == ""
+        assert "whole space" in err and flag in err
+
     def test_csv_basis(self, capsys):
         code, out, err = run(capsys, "subspace", "grid-rowmotion-ideals",
                              "--a", "2", "--b", "2", "--format", "csv")
@@ -455,3 +468,23 @@ def test_generator_flags_match_the_orbit_averages(capsys, system):
         assert absent[3, 4] == 10
     else:
         assert not any(absent.values())
+
+
+def test_a_reader_that_stops_early_gets_no_traceback():
+    # the JSON listing (about 420 KB) outgrows the pipe, so the child is still
+    # writing when the reader closes after three lines
+    src = str(Path(homomesy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "homomesy.cli", "check", "reversal-inversions",
+            "--n", "7", "--format", "json", "--expect-c", "0"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        head = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert head[0] == b"{\n"
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert code == 4  # the listing was cut short, but the verdict still counts
+    assert "expectation failed" in err

@@ -55,6 +55,13 @@ class TestStatistic:
         stat = Statistic.scalar("half", lambda x: Fraction(x, 2))
         assert stat(3) == (Fraction(3, 2),)
 
+    def test_digit_strings_rejected(self):
+        # a value must be an int or a Fraction; "5" is neither
+        with pytest.raises(TypeError, match="str"):
+            Statistic.scalar("text", lambda x: "5")(0)
+        with pytest.raises(TypeError, match="str"):
+            Statistic("text", 2, lambda x: (1, "1/2"))(0)
+
 
 class TestIterateOrbit:
     def test_period_and_representative(self):
@@ -210,6 +217,80 @@ class TestHomomesicSubspace:
             homomesic_subspace(swap_pairs, range(4), [vec_stat])
         with pytest.raises(ValueError, match="at least one"):
             homomesic_subspace(swap_pairs, range(4), [])
+
+
+def reference_orbit_average(statistic, orbit):
+    """The per-state Fraction accumulation that orbit_average replaced."""
+    total = [Fraction(0)] * statistic.dimension
+    for state in orbit.states:
+        value = statistic(state)
+        for i in range(statistic.dimension):
+            total[i] += value[i]
+    return tuple(t / orbit.period for t in total)
+
+
+def reference_subspace(tau, space, basis):
+    """The orbits x basis average matrix that homomesic_subspace replaced."""
+    orbits = orbit_partition(tau, space)
+    averages = [[reference_orbit_average(b, o)[0] for b in basis] for o in orbits]
+    rows = [[v - r for v, r in zip(row, averages[0])] for row in averages[1:]]
+    return rational_nullspace(rows, num_columns=len(basis))
+
+
+EXACT_VALUES = {
+    "int": st.integers(min_value=-20, max_value=20),
+    "fraction": st.fractions(min_value=-5, max_value=5, max_denominator=6),
+}
+EXACT_VALUES["mixed"] = st.one_of(EXACT_VALUES["int"], EXACT_VALUES["fraction"])
+
+
+@st.composite
+def permutation_systems(draw):
+    """(tau, n, table): a random permutation of range(n) and a statistic
+    table with one row of int, Fraction or mixed values per state."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    perm = draw(st.permutations(range(n)))
+    dim = draw(st.integers(min_value=1, max_value=4))
+    values = EXACT_VALUES[draw(st.sampled_from(sorted(EXACT_VALUES)))]
+    table = draw(st.lists(st.tuples(*[values] * dim), min_size=n, max_size=n))
+    return perm.__getitem__, n, table
+
+
+def all_fractions(vec):
+    return all(isinstance(v, Fraction) for v in vec)
+
+
+class TestExactSumsMatchTheFractionLoops:
+    @given(permutation_systems())
+    def test_averages_split_and_subspace(self, system):
+        tau, n, table = system
+        dim = len(table[0])
+        # a scalar statistic returns a bare value, a vector one a tuple
+        stat = (Statistic.scalar("f", lambda x: table[x][0]) if dim == 1
+                else Statistic("f", dim, table.__getitem__))
+        space = range(n)
+        orbits = orbit_partition(tau, space)
+        ref_mean = {}
+        for orbit in orbits:
+            average = orbit_average(stat, orbit)
+            assert average == reference_orbit_average(stat, orbit)
+            assert all_fractions(average)
+            ref_mean.update(dict.fromkeys(orbit.states, average))
+
+        report = check_homomesy(tau, space, stat)
+        assert all_fractions(report.global_average)
+        assert report.c is None or all_fractions(report.c)
+
+        f_mean, f_centered = invariant_homomesic_decomposition(tau, space, stat)
+        for x in space:
+            assert f_mean(x) == ref_mean[x] and all_fractions(f_mean(x))
+            centered = tuple(v - m for v, m in zip(stat(x), ref_mean[x]))
+            assert f_centered(x) == centered and all_fractions(f_centered(x))
+
+        basis = [Statistic.scalar(f"f{j}", lambda x, j=j: table[x][j]) for j in range(dim)]
+        kernel = homomesic_subspace(tau, space, basis)
+        assert kernel == reference_subspace(tau, space, basis)
+        assert all(all_fractions(vec) for vec in kernel)
 
 
 class TestNullspace:

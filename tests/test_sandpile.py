@@ -31,6 +31,18 @@ source 2
 """
 
 
+# a path 1 -> 2 -> 3 -> 4 -> 5 -> t: one stable configuration, five firings a step
+PATH5 = """
+1 2 1
+2 3 1
+3 4 1
+4 5 1
+5 t 1
+sink t
+source 1
+"""
+
+
 @pytest.fixture
 def cycle4():
     return SandpileGraph.from_text(CYCLE4)
@@ -160,6 +172,20 @@ class TestRecurrents:
         assert sandpile_tau(cycle4, (1, 1, 1)) == (1, 0, 1)
         assert sandpile_tau(cycle4, (0, 1, 1)) == (1, 1, 0)
         assert sandpile_tau(cycle4, (1, 1, 0)) == (0, 1, 1)
+
+
+class TestGuardReachesEveryStabilization:
+    def test_recurrents(self):
+        path = SandpileGraph.from_text(PATH5)
+        assert sandpile_recurrents(path) == [(0, 0, 0, 0, 0)]
+        with pytest.raises(GuardExceeded):
+            sandpile_recurrents(path, guard=2)
+
+    def test_firing_statistic(self):
+        path = SandpileGraph.from_text(PATH5)
+        assert firing_statistic(path)((0, 0, 0, 0, 0)) == (1, 1, 1, 1, 1)
+        with pytest.raises(GuardExceeded):
+            firing_statistic(path, guard=2)((0, 0, 0, 0, 0))
 
 
 class TestFiringHomomesy:
