@@ -10,12 +10,16 @@ ballot and cyclic-inversions (--a minus letters, --b plus letters),
 reversal-inversions (--n), lyness (--seed "x,y", rationals), sandpile
 (--graph FILE), suter (--n), ssyt (--a rows, --b columns, --k ceiling).
 
-Statistic selection (--stat): ideal-size / antichain-size (grids), ballot,
-inversions, firing-vector, weight or weight:i,j (suter), cells:all or
-cells:r,c;r,c (ssyt). --expect-c applies only to 'check'; the other
-commands reject it, and 'subspace' rejects --seed and --stat too. Exit
-codes: 0 success, 2 usage, 3 guard exceeded, 4 an --expect-c expectation
-failed.
+Statistic grammar (--stat NAME or --stat PREFIX:PARAM; each system's first
+name is its default): ideal-size / antichain-size (grids), ballot (ballot),
+inversions (cyclic-inversions, reversal-inversions), firing-vector
+(sandpile), weight or weight:i,j with i + j = n (suter), cells:all or
+cells:r,c;r,c with 1-based cells (ssyt). A malformed PARAM, an empty one
+included, exits 2 and names the grammar.
+
+--expect-c applies only to 'check'; the other commands reject it, and
+'subspace' rejects --seed and --stat too. Exit codes: 0 success, 2 usage,
+3 guard exceeded, 4 an --expect-c expectation failed.
 """
 from __future__ import annotations
 
@@ -28,37 +32,15 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional
 
-from .dynamics import (
-    format_pm_word,
-    parse_pm_word,
-    promotion_antichain,
-    promotion_ideal,
-    rowmotion_antichain,
-    rowmotion_ideal,
-)
-from .engine import (
-    Statistic,
-    check_homomesy,
-    homomesic_subspace,
-    in_reduced_span,
-    iterate_orbit,
-    summarize_orbits,
-)
+from .dynamics import (format_pm_word, parse_pm_word, promotion_antichain, promotion_ideal,
+                       rowmotion_antichain, rowmotion_ideal)
+from .engine import (Statistic, check_homomesy, homomesic_subspace, in_reduced_span,
+                     iterate_orbit, summarize_orbits)
 from .gallery.lyness import LynessState, abs_h, lyness_cycle, lyness_orbit_product
-from .gallery.sandpile import (
-    SandpileGraph,
-    firing_statistic,
-    sandpile_recurrents,
-    sandpile_tau,
-)
+from .gallery.sandpile import SandpileGraph, firing_statistic, sandpile_recurrents, sandpile_tau
 from .gallery.ssyt import SSYT, all_cells, cell_sum_statistic, rect_tableaux, ssyt_promotion
-from .gallery.suter import (
-    diagonal_weight_statistic,
-    is_staircase_member,
-    staircase_diagrams,
-    suter_rho,
-    weight_statistic,
-)
+from .gallery.suter import (diagonal_weight_statistic, is_staircase_member, staircase_diagrams,
+                            suter_rho, weight_statistic)
 from .gallery.words import ballot_system, cyclic_inversions_system, reversal_inversions_system
 from .guards import GuardExceeded
 from .posets import GridPoset
@@ -67,34 +49,32 @@ from .rationals import format_rational, parse_rational_vector
 EXIT_OK, EXIT_USAGE, EXIT_GUARD, EXIT_EXPECTATION = 0, 2, 3, 4
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Bad input from the command line; like any ValueError, it exits 2."""
 
 
 @dataclass
 class Bundle:
-    system: str
+    """What a system builder returns; build_bundle fills in the last two
+    fields. stats maps a statistic name, or a name prefix ending in ':' that
+    takes a parameter, to a builder; its first entry is the default."""
     map_name: str
     space_doc: dict
     space: list
     tau: Callable
-    statistic: Statistic
+    stats: dict
     to_json: Callable
     to_text: Callable
     parse_seed: Callable
     poset: Optional[GridPoset] = None  # the grid systems' [a]x[b], for 'subspace'
+    system: str = ""
+    statistic: Optional[Statistic] = None
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise UsageError(f"system {args.system!r} requires --{name}")
-
-
-def _pick_stat(args, options: dict, default: str) -> Statistic:
-    """options maps a stat name (or a name prefix ending in ':') to a builder."""
-    wanted = args.stat if args.stat is not None else default
-    if wanted in options:
+def _pick_stat(args, options: dict) -> Statistic:
+    """The --stat entry of a bundle's stats table, or its first entry."""
+    wanted = args.stat if args.stat is not None else next(iter(options))
+    if wanted in options and not wanted.endswith(":"):
         return options[wanted]()
     for key, builder in options.items():
         if key.endswith(":") and wanted.startswith(key):
@@ -105,56 +85,50 @@ def _pick_stat(args, options: dict, default: str) -> Statistic:
     )
 
 
+def _int_rows(text: str) -> tuple[tuple[int, ...], ...]:
+    """Integer rows written "1,2;3,4": a seed, a tableau or a list of cells.
+    A malformed entry raises int()'s ValueError."""
+    return tuple(tuple(int(v) for v in row.split(",")) for row in text.split(";"))
+
+
 def _int_seed(text: str, what: str, example: str) -> tuple[int, ...]:
-    """A comma-separated integer seed such as a permutation or a configuration."""
+    """A one-row integer seed such as a permutation or a configuration."""
     try:
-        return tuple(int(v) for v in text.split(","))
+        (row,) = _int_rows(text)
     except ValueError:
         raise UsageError(f"seed must be {what}, e.g. {example}") from None
+    return row
+
+
+def _comma_text(values) -> str:
+    return ",".join(str(v) for v in values)
 
 
 # -- per-system bundles -------------------------------------------------------
 
 def _grid_bundle(args) -> Bundle:
-    _require(args, ["a", "b"])
     poset = GridPoset(args.a, args.b)
-    on_ideals = args.system.endswith("-ideals")
     promo = "promotion" in args.system
-    if on_ideals:
-        space = poset.enumerate_order_ideals(args.guard)
+    if args.system.endswith("-ideals"):
+        # any generating set works as a seed: the seed ideal is its down closure
+        kind, stat_name, states, seed_state = (
+            "order-ideals", "ideal-size", poset.enumerate_order_ideals, poset.down_closure)
         tau = (lambda s: promotion_ideal(poset, s)) if promo else (
             lambda s: rowmotion_ideal(poset, s))
-        stat = _pick_stat(args, {"ideal-size": lambda: Statistic.scalar("ideal-size", len)},
-                          "ideal-size")
-        kind = "order-ideals"
-
-        def parse_seed(text):
-            pairs = _parse_cell_pairs(text)
-            # any generating set works: the seed ideal is its down closure
-            return poset.down_closure(pairs)
     else:
-        space = poset.enumerate_antichains(args.guard)
+        kind, stat_name, states, seed_state = (
+            "antichains", "antichain-size", poset.enumerate_antichains, poset.antichain)
         tau = (lambda s: promotion_antichain(poset, s)) if promo else (
             lambda s: rowmotion_antichain(poset, s))
-        stat = _pick_stat(args, {"antichain-size": lambda: Statistic.scalar("antichain-size", len)},
-                          "antichain-size")
-        kind = "antichains"
-
-        def parse_seed(text):
-            return poset.antichain(_parse_cell_pairs(text))
-
-    map_name = ("promotion" if promo else "rowmotion") + " on " + kind.replace("-", " ")
     return Bundle(
-        system=args.system,
-        map_name=map_name,
-        space_doc={"kind": kind, "poset": {"a": poset.a, "b": poset.b},
-                   "states": len(space)},
-        space=space,
+        map_name=("promotion" if promo else "rowmotion") + " on " + kind.replace("-", " "),
+        space_doc={"kind": kind, "poset": {"a": poset.a, "b": poset.b}},
+        space=states(args.guard),
         tau=tau,
-        statistic=stat,
+        stats={stat_name: lambda: Statistic.scalar(stat_name, len)},
         to_json=poset.state_pairs,
         to_text=lambda s: json.dumps(poset.state_pairs(s), separators=(",", ":")),
-        parse_seed=parse_seed,
+        parse_seed=lambda text: seed_state(_parse_cell_pairs(text)),
         poset=poset,
     )
 
@@ -173,9 +147,7 @@ def _parse_cell_pairs(text: str):
 
 
 def _word_bundle(args, system: Callable) -> Bundle:
-    _require(args, ["a", "b"])
     space, tau, stat = system(args.a, args.b, args.guard)
-    stat = _pick_stat(args, {stat.name: lambda: stat}, stat.name)
 
     def parse_seed(text):
         word = parse_pm_word(text)
@@ -185,13 +157,11 @@ def _word_bundle(args, system: Callable) -> Bundle:
         return word
 
     return Bundle(
-        system=args.system,
         map_name="leftward rotation",
-        space_doc={"kind": "pm-words", "minus": args.a, "plus": args.b,
-                   "states": len(space)},
+        space_doc={"kind": "pm-words", "minus": args.a, "plus": args.b},
         space=space,
         tau=tau,
-        statistic=stat,
+        stats={stat.name: lambda: stat},
         to_json=format_pm_word,
         to_text=format_pm_word,
         parse_seed=parse_seed,
@@ -199,9 +169,7 @@ def _word_bundle(args, system: Callable) -> Bundle:
 
 
 def _reversal_bundle(args) -> Bundle:
-    _require(args, ["n"])
     space, tau, stat = reversal_inversions_system(args.n, args.guard)
-    stat = _pick_stat(args, {"inversions": lambda: stat}, "inversions")
 
     def parse_seed(text):
         perm = _int_seed(text, "a comma-separated permutation", "2,3,1")
@@ -210,28 +178,23 @@ def _reversal_bundle(args) -> Bundle:
         return perm
 
     return Bundle(
-        system=args.system,
         map_name="reversal",
-        space_doc={"kind": "permutations", "n": args.n, "states": len(space)},
+        space_doc={"kind": "permutations", "n": args.n},
         space=space,
         tau=tau,
-        statistic=stat,
+        stats={"inversions": lambda: stat},
         to_json=list,
-        to_text=lambda s: ",".join(str(v) for v in s),
+        to_text=_comma_text,
         parse_seed=parse_seed,
     )
 
 
 def _sandpile_bundle(args) -> Bundle:
-    if args.graph is None:
-        raise UsageError("system 'sandpile' requires --graph FILE")
     try:
         graph = SandpileGraph.from_file(args.graph)
     except OSError as exc:
         raise UsageError(f"cannot read graph file: {exc}") from None
     space = sandpile_recurrents(graph, args.guard)
-    stat = _pick_stat(args, {"firing-vector": lambda: firing_statistic(graph, args.guard)},
-                      "firing-vector")
 
     def parse_seed(text):
         config = _int_seed(text, "comma-separated grain counts", "1,0,1")
@@ -241,37 +204,28 @@ def _sandpile_bundle(args) -> Bundle:
         return config
 
     return Bundle(
-        system=args.system,
         map_name="drop a grain on the source, then stabilize",
         space_doc={"kind": "recurrent-configurations",
                    "vertices": list(graph.nonsink), "sink": graph.sink,
-                   "source": graph.source, "states": len(space)},
+                   "source": graph.source},
         space=space,
         tau=lambda s: sandpile_tau(graph, s, args.guard),
-        statistic=stat,
+        stats={"firing-vector": lambda: firing_statistic(graph, args.guard)},
         to_json=list,
-        to_text=lambda s: ",".join(str(v) for v in s),
+        to_text=_comma_text,
         parse_seed=parse_seed,
     )
 
 
 def _suter_bundle(args) -> Bundle:
-    _require(args, ["n"])
     n = args.n
-    space = staircase_diagrams(n, args.guard)
 
     def refined(param: str) -> Statistic:
         try:
-            i, j = (int(v) for v in param.split(","))
+            ((i, j),) = _int_rows(param)
         except ValueError:
             raise UsageError("refined weight statistic is written weight:i,j") from None
-        try:
-            return diagonal_weight_statistic(n, i, j)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-
-    stat = _pick_stat(args, {"weight": lambda: weight_statistic(n), "weight:": refined},
-                      "weight")
+        return diagonal_weight_statistic(n, i, j)  # its ValueError names the rule
 
     def parse_seed(text):
         text = text.strip()
@@ -282,20 +236,18 @@ def _suter_bundle(args) -> Bundle:
         return diagram
 
     return Bundle(
-        system=args.system,
         map_name=f"suter rotation on the staircase family Y_{n}",
-        space_doc={"kind": "staircase-diagrams", "n": n, "states": len(space)},
-        space=space,
+        space_doc={"kind": "staircase-diagrams", "n": n},
+        space=staircase_diagrams(n, args.guard),
         tau=lambda lam: suter_rho(n, lam),
-        statistic=stat,
+        stats={"weight": lambda: weight_statistic(n), "weight:": refined},
         to_json=list,
-        to_text=lambda lam: ",".join(str(p) for p in lam) if lam else "[]",
+        to_text=lambda lam: _comma_text(lam) or "[]",
         parse_seed=parse_seed,
     )
 
 
 def _ssyt_bundle(args) -> Bundle:
-    _require(args, ["a", "b", "k"])
     nrows, ncols, ceiling = args.a, args.b, args.k
     space = rect_tableaux(nrows, ncols, ceiling, args.guard)
     if not space:
@@ -303,31 +255,18 @@ def _ssyt_bundle(args) -> Bundle:
             f"no tableaux: ceiling {ceiling} is below the number of rows {nrows}")
 
     def cells_stat(param: str) -> Statistic:
-        cells = []
-        for chunk in param.split(";"):
-            try:
-                r, c = (int(v) for v in chunk.split(","))
-            except ValueError:
-                raise UsageError("cell sets are written cells:r,c;r,c") from None
+        try:
+            cells = [(r, c) for r, c in _int_rows(param)]
+        except ValueError:
+            raise UsageError("cell sets are written cells:r,c;r,c") from None
+        for r, c in cells:
             if not (1 <= r <= nrows and 1 <= c <= ncols):
                 raise UsageError(f"cell ({r},{c}) outside the {nrows} x {ncols} rectangle")
-            cells.append((r, c))
         return cell_sum_statistic(cells)
-
-    stat = _pick_stat(
-        args,
-        {"cells:all": lambda: cell_sum_statistic(all_cells(nrows, ncols), name="cells:all"),
-         "cells:": cells_stat},
-        "cells:all",
-    )
 
     def parse_seed(text):
         try:
-            rows = tuple(
-                tuple(int(v) for v in chunk.split(","))
-                for chunk in text.split(";")
-            )
-            tableau = SSYT(ceiling, rows)
+            tableau = SSYT(ceiling, _int_rows(text))
         except ValueError as exc:
             raise UsageError(f"bad tableau seed: {exc}") from None
         if tableau.shape != (nrows, ncols):
@@ -337,38 +276,50 @@ def _ssyt_bundle(args) -> Bundle:
         return tableau
 
     return Bundle(
-        system=args.system,
         map_name="tableau promotion (Bender-Knuth composite, BK_1 first)",
         space_doc={"kind": "rectangular-ssyt", "rows": nrows, "cols": ncols,
-                   "ceiling": ceiling, "states": len(space)},
+                   "ceiling": ceiling},
         space=space,
         tau=ssyt_promotion,
-        statistic=stat,
+        stats={"cells:all": lambda: cell_sum_statistic(all_cells(nrows, ncols),
+                                                       name="cells:all"),
+               "cells:": cells_stat},
         to_json=lambda t: [list(row) for row in t.rows],
-        to_text=lambda t: ";".join(",".join(str(v) for v in row) for row in t.rows),
+        to_text=lambda t: ";".join(map(_comma_text, t.rows)),
         parse_seed=parse_seed,
     )
 
 
-# Every system the CLI knows, with the builder of its bundle. Lyness has no
+# Every system the CLI knows: the flags it requires (a flag may name its
+# argument, as in "graph FILE") and the builder of its bundle. Lyness has no
 # finite space to sweep: 'check' and 'orbits' follow its one seeded orbit.
-SYSTEMS: dict[str, Optional[Callable[..., Bundle]]] = {
-    "grid-rowmotion-ideals": _grid_bundle,
-    "grid-rowmotion-antichains": _grid_bundle,
-    "grid-promotion-ideals": _grid_bundle,
-    "grid-promotion-antichains": _grid_bundle,
-    "ballot": lambda args: _word_bundle(args, ballot_system),
-    "cyclic-inversions": lambda args: _word_bundle(args, cyclic_inversions_system),
-    "reversal-inversions": _reversal_bundle,
-    "lyness": None,
-    "sandpile": _sandpile_bundle,
-    "suter": _suter_bundle,
-    "ssyt": _ssyt_bundle,
+SYSTEMS: dict[str, tuple[tuple[str, ...], Optional[Callable[..., Bundle]]]] = {
+    "grid-rowmotion-ideals": (("a", "b"), _grid_bundle),
+    "grid-rowmotion-antichains": (("a", "b"), _grid_bundle),
+    "grid-promotion-ideals": (("a", "b"), _grid_bundle),
+    "grid-promotion-antichains": (("a", "b"), _grid_bundle),
+    "ballot": (("a", "b"), lambda args: _word_bundle(args, ballot_system)),
+    "cyclic-inversions": (("a", "b"), lambda args: _word_bundle(args, cyclic_inversions_system)),
+    "reversal-inversions": (("n",), _reversal_bundle),
+    "lyness": ((), None),
+    "sandpile": (("graph FILE",), _sandpile_bundle),
+    "suter": (("n",), _suter_bundle),
+    "ssyt": (("a", "b", "k"), _ssyt_bundle),
 }
 
 
 def build_bundle(args) -> Bundle:
-    return SYSTEMS[args.system](args)
+    """Check the system's required flags, build its bundle, and add what every
+    system shares: its name, its state count and the chosen statistic."""
+    flags, builder = SYSTEMS[args.system]
+    for flag in flags:
+        if getattr(args, flag.split()[0]) is None:
+            raise UsageError(f"system {args.system!r} requires --{flag}")
+    bundle = builder(args)
+    bundle.system = args.system
+    bundle.space_doc["states"] = len(bundle.space)  # last, as every listing prints it
+    bundle.statistic = _pick_stat(args, bundle.stats)
+    return bundle
 
 
 # -- output -------------------------------------------------------------------
@@ -404,10 +355,8 @@ def _orbit_table(bundle, summaries, footer_lines):
     yield f"map: {bundle.map_name}"
     yield f"space: {json.dumps(bundle.space_doc, separators=(',', ': '))}"
     yield f"statistic: {bundle.statistic.name}"
-    rows = [
-        (idx, s.period, _fmt_average(s.average), bundle.to_text(s.representative))
-        for idx, s in enumerate(summaries, start=1)
-    ]
+    rows = [(idx, s.period, _fmt_average(s.average), bundle.to_text(s.representative))
+            for idx, s in enumerate(summaries, start=1)]
     titles = ("orbit", "period", "average", "representative")
     widths = [max(len(t), *(len(str(row[i])) for row in rows))
               for i, t in enumerate(titles)]
@@ -438,10 +387,7 @@ def _emit_report(args, bundle: Bundle, report, verdict: bool) -> None:
 def _check_expectation(args, homomesic: bool, c) -> int:
     if args.expect_c is None:
         return EXIT_OK
-    try:
-        expected = parse_rational_vector(args.expect_c)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    expected = parse_rational_vector(args.expect_c)  # a ValueError exits 2
     if not homomesic:
         print(f"expectation failed: not homomesic (expected c = {args.expect_c})",
               file=sys.stderr)
@@ -456,35 +402,27 @@ def _check_expectation(args, homomesic: bool, c) -> int:
 
 # -- commands -----------------------------------------------------------------
 
-def run_check(args) -> int:
+def run_check(args, verdict: bool) -> int:
+    """'check' (with verdict) or 'orbits' (without): the whole space, or for
+    'orbits' the one orbit of --seed."""
     if args.system == "lyness":
-        return _run_lyness(args, verdict=True)
-    if args.seed is not None:
+        return _run_lyness(args, verdict)
+    if verdict and args.seed is not None:
         raise UsageError("'check' sweeps the whole space; --seed only applies to "
                          "'orbits' (and to lyness)")
-    bundle = build_bundle(args)
-    report = check_homomesy(bundle.tau, bundle.space, bundle.statistic, guard=args.guard)
-    _emit_report(args, bundle, report, verdict=True)
-    return _check_expectation(args, report.homomesic, report.c)
-
-
-def run_orbits(args) -> int:
-    if args.system == "lyness":
-        return _run_lyness(args, verdict=False)
     bundle = build_bundle(args)
     if args.seed is None:
         report = check_homomesy(bundle.tau, bundle.space, bundle.statistic, guard=args.guard)
     else:
         orbit = iterate_orbit(bundle.tau, bundle.parse_seed(args.seed), args.guard)
         report = summarize_orbits([orbit], bundle.statistic)
-    _emit_report(args, bundle, report, verdict=False)
-    return EXIT_OK
+    _emit_report(args, bundle, report, verdict)
+    return _check_expectation(args, report.homomesic, report.c)
 
 
 def _run_lyness(args, verdict: bool) -> int:
     seed_text = args.seed if args.seed is not None else "1,3"
-    parts = seed_text.split(",")
-    if len(parts) != 2:
+    if seed_text.count(",") != 1:
         raise UsageError('lyness seed is two rationals, e.g. --seed "5/3,2/3"')
     try:
         values = parse_rational_vector(seed_text)
@@ -524,9 +462,7 @@ def _run_lyness(args, verdict: bool) -> int:
         [f"homomesic: {'yes (log|h| is 0-mesic)' if homomesic else 'no'}"] if verdict else [],
     )
     _emit(args, doc, csv_rows, table)
-    if verdict:
-        return _check_expectation(args, homomesic, (0,))
-    return EXIT_OK
+    return _check_expectation(args, homomesic, (0,))
 
 
 def _named_generators(poset: GridPoset, on_ideals: bool):
@@ -555,7 +491,7 @@ def _named_generators(poset: GridPoset, on_ideals: bool):
 
 
 def run_subspace(args) -> int:
-    if SYSTEMS[args.system] is not _grid_bundle:
+    if SYSTEMS[args.system][1] is not _grid_bundle:
         raise UsageError("'subspace' is available for the grid systems only")
     bundle = build_bundle(args)
     poset, elements = bundle.poset, bundle.poset.elements
@@ -606,10 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("system", choices=tuple(SYSTEMS))
-        cmd.add_argument("--a", type=int)
-        cmd.add_argument("--b", type=int)
-        cmd.add_argument("--n", type=int)
-        cmd.add_argument("--k", type=int)
+        for flag in ("--a", "--b", "--n", "--k"):
+            cmd.add_argument(flag, type=int)
         cmd.add_argument("--stat")
         cmd.add_argument("--seed")
         cmd.add_argument("--expect-c", dest="expect_c",
@@ -631,14 +565,9 @@ def main(argv=None) -> int:
             if value is not None and args.command == "subspace":
                 raise UsageError(f"'subspace' searches the indicator statistics of the whole "
                                  f"space; it takes no {flag}")
-        if args.command == "check":
-            return run_check(args)
-        if args.command == "orbits":
-            return run_orbits(args)
-        return run_subspace(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if args.command == "subspace":
+            return run_subspace(args)
+        return run_check(args, verdict=args.command == "check")
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD

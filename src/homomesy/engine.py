@@ -230,7 +230,9 @@ def invariant_homomesic_decomposition(tau: Callable, space, statistic: Statistic
 def homomesic_subspace(tau: Callable, space, basis, guard: int | None = None):
     """Coefficient vectors c with sum(c_j * basis_j) homomesic.
 
-    basis is a sequence of scalar statistics. The kernel of the matrix of
+    basis is a sequence of scalar statistics whose fn returns a bare int or
+    Fraction: the fn values are stacked into one vector statistic and checked
+    once there, so a 1-tuple raises TypeError. The kernel of the matrix of
     orbit-average differences is returned as a canonically reduced list of
     Fraction tuples (one per basis vector of the subspace).
     """
@@ -239,7 +241,7 @@ def homomesic_subspace(tau: Callable, space, basis, guard: int | None = None):
         raise ValueError("basis must contain at least one statistic")
     if any(b.dimension != 1 for b in basis):
         raise ValueError("subspace search requires scalar statistics")
-    stacked = Statistic("basis", len(basis), lambda s: [b(s)[0] for b in basis])
+    stacked = Statistic("basis", len(basis), lambda s: [b.fn(s) for b in basis])
     first, *rest = summarize_orbits(orbit_partition(tau, space, guard), stacked).orbit_summaries
     rows = [[v - r for v, r in zip(summary.average, first.average)] for summary in rest]
     return rational_nullspace(rows, num_columns=len(basis))
@@ -323,24 +325,17 @@ def rational_nullspace(rows, num_columns: int | None = None) -> list[tuple[Fract
 
 
 def rational_solve(matrix, rhs) -> tuple[Fraction, ...]:
-    """Solve a square nonsingular system A x = b exactly."""
+    """Solve a square nonsingular system A x = b exactly.
+
+    x comes from the kernel of [A | b]: A is nonsingular exactly when that
+    kernel is one vector whose free column is the last, (-x, 1). A basis
+    vector's free column is its last nonzero entry, so that is entry n = 1.
+    """
     n = len(matrix)
     aug = [[exact(v) for v in row] + [exact(b)] for row, b in zip(matrix, rhs)]
     if any(len(row) != n + 1 for row in aug) or len(rhs) != n:
         raise ValueError("matrix must be square and match the right-hand side")
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if aug[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        scale = aug[c][c]
-        aug[c] = [v / scale for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [vi - factor * vc for vi, vc in zip(aug[i], aug[c])]
-    return tuple(aug[i][n] for i in range(n))
+    kernel = rational_nullspace(aug, num_columns=n + 1)
+    if len(kernel) != 1 or kernel[0][n] != 1:
+        raise ValueError("matrix is singular")
+    return tuple(-v for v in kernel[0][:n])

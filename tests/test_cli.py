@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import homomesy
-from homomesy.cli import main
+from homomesy.cli import SYSTEMS, build_bundle, build_parser, main
 from homomesy.dynamics import (
     promotion_antichain,
     promotion_ideal,
@@ -161,6 +161,16 @@ class TestCheck:
                              "--k", "3", "--stat", "cells:3,1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, grammar", [
+        (("suter", "--n", "5", "--stat", "weight:"), "weight:i,j"),
+        (("ssyt", "--a", "2", "--b", "2", "--k", "3", "--stat", "cells:"), "cells:r,c;r,c"),
+    ], ids=["weight", "cells"])
+    def test_empty_stat_parameter_names_the_grammar(self, capsys, argv, grammar):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2
+        assert out == ""
+        assert grammar in err
+
     def test_sandpile(self, capsys, graph_file):
         code, out, err = run(capsys, "check", "sandpile", "--graph", graph_file,
                              "--expect-c", "1/2,1,1/2")
@@ -283,6 +293,10 @@ class TestOrbits:
 
 SAMPLE_SYSTEMS = [
     ("grid-promotion-antichains", "--a", "3", "--b", "2"),
+    ("grid-promotion-ideals", "--a", "3", "--b", "2"),
+    ("grid-rowmotion-antichains", "--a", "2", "--b", "3"),
+    ("grid-rowmotion-ideals", "--a", "2", "--b", "3"),
+    ("ballot", "--a", "2", "--b", "3"),
     ("cyclic-inversions", "--a", "2", "--b", "3"),
     ("reversal-inversions", "--n", "4"),
     ("suter", "--n", "5"),
@@ -301,6 +315,22 @@ def test_orbits_lists_the_orbits_that_check_reports(capsys, graph_file, system):
         listings[command] = json.loads(out)
     assert listings["orbits"]["orbits"] == listings["check"]["orbits"]
     assert "homomesic" not in listings["orbits"]
+
+
+def test_sample_systems_cover_the_table():
+    # lyness follows one seeded orbit and has no bundle
+    assert {argv[0] for argv in SAMPLE_SYSTEMS} == set(SYSTEMS) - {"lyness"}
+
+
+@pytest.mark.parametrize("system", SAMPLE_SYSTEMS, ids=lambda argv: argv[0])
+def test_every_statistic_of_the_table_exits_cleanly(capsys, graph_file, system):
+    argv = ("check",) + system + (("--graph", graph_file) if system[0] == "sandpile" else ())
+    stats = build_bundle(build_parser().parse_args(argv)).stats
+    for key in stats:
+        # a prefix key alone is the prefix with an empty parameter
+        code, out, err = run(capsys, *argv, "--stat", key)
+        assert code == (2 if key.endswith(":") else 0), key
+        assert "Traceback" not in err
 
 
 class TestLyness:

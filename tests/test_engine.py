@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from homomesy.engine import (
     Orbit,
@@ -218,6 +218,26 @@ class TestHomomesicSubspace:
         with pytest.raises(ValueError, match="at least one"):
             homomesic_subspace(swap_pairs, range(4), [])
 
+    def test_basis_values_must_be_bare(self):
+        # the search stacks each basis fn's value, so a 1-tuple is not a number
+        basis = [Statistic.scalar("boxed", lambda x: (x,))]
+        with pytest.raises(TypeError, match="tuple"):
+            homomesic_subspace(swap_pairs, range(4), basis)
+
+    def test_one_statistic_call_per_state(self, monkeypatch):
+        calls = []
+        original = Statistic.__call__
+
+        def counted(stat, state):
+            calls.append(state)
+            return original(stat, state)
+
+        monkeypatch.setattr(Statistic, "__call__", counted)
+        basis = [Statistic.scalar(f"e{i}", lambda x, i=i: 1 if x == i else 0)
+                 for i in range(6)]
+        homomesic_subspace(swap_pairs, range(6), basis)
+        assert sorted(calls) == list(range(6))
+
 
 def reference_orbit_average(statistic, orbit):
     """The per-state Fraction accumulation that orbit_average replaced."""
@@ -355,7 +375,47 @@ class TestInReducedSpan:
         assert in_reduced_span(vector, rational_nullspace(rows)) == annihilated
 
 
+def reference_solve(matrix, rhs):
+    """The Gauss-Jordan elimination of its own that rational_solve had before
+    it solved through rational_nullspace."""
+    n = len(matrix)
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if pivot_row is None:
+            raise ValueError("matrix is singular")
+        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                factor = aug[i][c]
+                aug[i] = [vi - factor * vc for vi, vc in zip(aug[i], aug[c])]
+    return tuple(aug[i][n] for i in range(n))
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    entries = st.integers(min_value=-3, max_value=3)
+    matrix = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return matrix, draw(st.lists(entries, min_size=n, max_size=n))
+
+
 class TestSolve:
+    @given(square_systems())
+    @example(([[1, 2], [2, 4]], [1, 2]))  # singular, b in the column space
+    @example(([[1, 2], [2, 4]], [1, 1]))  # singular, b outside it
+    @example(([[0, 1], [1, 0]], [3, -2]))  # needs a row swap
+    def test_matches_the_reference_elimination(self, system):
+        matrix, rhs = system
+        try:
+            expected = reference_solve(matrix, rhs)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                rational_solve(matrix, rhs)
+        else:
+            assert rational_solve(matrix, rhs) == expected
+
     def test_known_system(self):
         x = rational_solve([[2, 1], [1, 3]], [5, 10])
         assert x == (Fraction(1), Fraction(3))
