@@ -5,12 +5,15 @@ hashable and mutually comparable (the smallest state of an orbit is its
 canonical representative). A statistic value is an int or a Fraction;
 anything else, a float included, raises. Check, decomposition and subspace
 all average through summarize_orbits: orbit sums stay exact ints (or
-Fractions) and each orbit component costs one Fraction division.
+Fractions) and each orbit component costs one Fraction division. The
+subspace search takes the kernel of the orbit-average differences by
+fraction-free integer elimination and makes Fractions only for the result.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Optional
 
 from .guards import DEFAULT_ORBIT_GUARD, GuardExceeded
@@ -184,13 +187,14 @@ def summarize_orbits(orbits, statistic: Statistic) -> HomomesyReport:
         OrbitSummary(o.representative, o.period, orbit_average(statistic, o))
         for o in orbits
     )
+    homomesic = all(s.average == summaries[0].average for s in summaries)
+    c = summaries[0].average if homomesic else None
     total_states = sum(s.period for s in summaries)
-    global_average = tuple(
+    # when every orbit averages to c, so does the period-weighted mean
+    global_average = c if homomesic else tuple(
         sum((s.period * s.average[i] for s in summaries), Fraction(0)) / total_states
         for i in range(statistic.dimension)
     )
-    homomesic = all(s.average == summaries[0].average for s in summaries)
-    c = summaries[0].average if homomesic else None
     return HomomesyReport(
         statistic=statistic.name,
         dimension=statistic.dimension,
@@ -288,40 +292,47 @@ def _to_fraction_rows(rows, num_columns):
 def rational_nullspace(rows, num_columns: int | None = None) -> list[tuple[Fraction, ...]]:
     """Exact kernel basis of a rational matrix, in canonical reduced form.
 
-    Gauss-Jordan over Fraction; one basis vector per free column, with a 1
-    in its free position and 0 in all other free positions.
+    Fraction-free elimination (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 1968): each row is
+    scaled to integers and reduced against a basis of primitive integer rows,
+    one per pivot column, each zero before its pivot and at every other
+    pivot. The kernel is then built once: one basis vector per free column
+    f, with a 1 at f, 0 at the other free columns and -b[f]/b[c] at the
+    pivot c of each basis row b.
     """
     mat, ncols = _to_fraction_rows(rows, num_columns)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    basis: dict[int, list[int]] = {}
+    for entries in mat:
+        scale = lcm(*(v.denominator for v in entries))
+        row = [v.numerator * (scale // v.denominator) for v in entries]
+        for c, b in basis.items():
+            if row[c]:
+                k, m = b[c], row[c]
+                row = [k * x - m * y for x, y in zip(row, b)]
+        pivot = next((c for c, v in enumerate(row) if v), None)
+        if pivot is None:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        scale = mat[r][c]
-        mat[r] = [v / scale for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [vi - factor * vr for vi, vr in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(mat):
+        row = _primitive(row)
+        for c, b in basis.items():
+            if b[pivot]:
+                k, m = row[pivot], b[pivot]
+                basis[c] = _primitive([k * y - m * x for x, y in zip(row, b)])
+        basis[pivot] = row
+        if len(basis) == ncols:
             break
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
     kernel = []
-    for f in free_cols:
+    for f in (c for c in range(ncols) if c not in basis):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for i, c in enumerate(pivot_cols):
-            vec[c] = -mat[i][f]
+        for c, b in basis.items():
+            vec[c] = Fraction(-b[f], b[c])
         kernel.append(tuple(vec))
     return kernel
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [v // g for v in row]
 
 
 def rational_solve(matrix, rhs) -> tuple[Fraction, ...]:

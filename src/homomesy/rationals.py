@@ -10,7 +10,10 @@ from fractions import Fraction
 
 
 def exact(value) -> Fraction:
-    """Coerce an int, Fraction, or digit string to Fraction. Floats are refused."""
+    """Coerce an int, Fraction, or digit string to Fraction. Floats are refused.
+    A Fraction comes back unchanged, without the cost of rebuilding it."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError(f"floating-point value {value!r} in exact-arithmetic context")
     return Fraction(value)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from homomesy.cli import SYSTEMS, build_bundle, build_parser
 from homomesy.engine import (
     Orbit,
     Statistic,
@@ -254,7 +255,7 @@ def reference_subspace(tau, space, basis):
     orbits = orbit_partition(tau, space)
     averages = [[reference_orbit_average(b, o)[0] for b in basis] for o in orbits]
     rows = [[v - r for v, r in zip(row, averages[0])] for row in averages[1:]]
-    return rational_nullspace(rows, num_columns=len(basis))
+    return reference_nullspace(rows, num_columns=len(basis))
 
 
 EXACT_VALUES = {
@@ -282,6 +283,8 @@ def all_fractions(vec):
 
 class TestExactSumsMatchTheFractionLoops:
     @given(permutation_systems())
+    @example(((1, 0, 2).__getitem__, 3, [(0,), (2,), (1,)]))  # homomesic
+    @example(((1, 0, 2).__getitem__, 3, [(0,), (2,), (5,)]))  # not homomesic
     def test_averages_split_and_subspace(self, system):
         tau, n, table = system
         dim = len(table[0])
@@ -299,6 +302,8 @@ class TestExactSumsMatchTheFractionLoops:
 
         report = check_homomesy(tau, space, stat)
         assert all_fractions(report.global_average)
+        assert report.global_average == tuple(
+            Fraction(sum(stat(x)[i] for x in space), n) for i in range(dim))
         assert report.c is None or all_fractions(report.c)
 
         f_mean, f_centered = invariant_homomesic_decomposition(tau, space, stat)
@@ -311,6 +316,52 @@ class TestExactSumsMatchTheFractionLoops:
         kernel = homomesic_subspace(tau, space, basis)
         assert kernel == reference_subspace(tau, space, basis)
         assert all(all_fractions(vec) for vec in kernel)
+
+
+GRID_SYSTEMS = sorted(name for name in SYSTEMS if name.startswith("grid-"))
+
+
+class TestSubspaceOnTheGridSystems:
+    @pytest.mark.parametrize("system", GRID_SYSTEMS)
+    def test_matches_the_reference_on_every_small_grid(self, system):
+        assert len(GRID_SYSTEMS) == 4
+        for a in range(1, 6):
+            for b in range(a, 6):
+                args = build_parser().parse_args(
+                    ["subspace", system, "--a", str(a), "--b", str(b)])
+                bundle = build_bundle(args)
+                # the element-indicator basis that the subspace command builds
+                basis = [Statistic.scalar(f"indicator[{k},{l}]",
+                                          lambda s, i=bundle.poset.index[(k, l)]: s.mask >> i & 1)
+                         for (k, l) in bundle.poset.elements]
+                kernel = homomesic_subspace(bundle.tau, bundle.space, basis)
+                assert kernel == reference_subspace(bundle.tau, bundle.space, basis), (a, b)
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, num_columns): 0-8 rows of 1-6 int or Fraction entries, where a
+    row may be zero, repeat an earlier row, scale one, or add two."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    entries = st.one_of(st.integers(min_value=-9, max_value=9),
+                        st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    factors = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "scaled", "sum"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "fresh" or not rows:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "scaled":
+            factor = draw(factors)
+            rows.append([factor * v for v in draw(st.sampled_from(rows))])
+        else:
+            x, y, factor = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(factors)
+            rows.append([u + factor * v for u, v in zip(x, y)])
+    return rows, ncols
 
 
 class TestNullspace:
@@ -334,6 +385,19 @@ class TestNullspace:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
             rational_nullspace([[1, 2], [1]])
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            rational_nullspace([[1, 0.5]])
+
+    @given(rational_matrices())
+    @example(([[0, 0], [1, 2], [2, 4], [1, 2]], 2))  # zero, scaled and repeated rows
+    @example(([[0, 1, 1], [1, 1, 0], [1, 2, 1]], 3))  # a sum of two earlier rows
+    def test_matches_the_reference_elimination(self, matrix):
+        rows, ncols = matrix
+        kernel = rational_nullspace(rows, ncols)
+        assert kernel == reference_nullspace(rows, ncols)
+        assert all(all_fractions(vec) for vec in kernel)
 
     @given(st.lists(
         st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4),
@@ -373,6 +437,37 @@ class TestInReducedSpan:
     def test_membership_is_annihilation(self, rows, vector):
         annihilated = all(sum(r * v for r, v in zip(row, vector)) == 0 for row in rows)
         assert in_reduced_span(vector, rational_nullspace(rows)) == annihilated
+
+
+def reference_nullspace(rows, num_columns):
+    """The Fraction Gauss-Jordan elimination that rational_nullspace had
+    before it went fraction-free."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivot_cols = []
+    r = 0
+    for c in range(num_columns):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        scale = mat[r][c]
+        mat[r] = [v / scale for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [vi - factor * vr for vi, vr in zip(mat[i], mat[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    kernel = []
+    for f in (c for c in range(num_columns) if c not in pivot_cols):
+        vec = [Fraction(0)] * num_columns
+        vec[f] = Fraction(1)
+        for i, c in enumerate(pivot_cols):
+            vec[c] = -mat[i][f]
+        kernel.append(tuple(vec))
+    return kernel
 
 
 def reference_solve(matrix, rhs):
