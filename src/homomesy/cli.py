@@ -324,13 +324,13 @@ def build_bundle(args) -> Bundle:
 
 # -- output -------------------------------------------------------------------
 
-def _emit(args, doc: dict, csv_rows, table_lines) -> None:
-    """Print doc as JSON, csv_rows as CSV or table_lines as text, as --format
-    asks. csv_rows and table_lines may be lazy: only the chosen one is read.
-    A reader that closes the pipe early ends the output, not the run."""
+def _emit(args, doc: Callable[[], dict], csv_rows, table_lines) -> None:
+    """Print doc() as JSON, csv_rows as CSV or table_lines as text, as
+    --format asks. Only the chosen one is built or read. A reader that
+    closes the pipe early ends the output, not the run."""
     try:
         if args.format == "json":
-            print(json.dumps(doc, indent=2))
+            print(json.dumps(doc(), indent=2))
         elif args.format == "csv":
             csv.writer(sys.stdout).writerows(csv_rows)
         else:
@@ -368,8 +368,6 @@ def _orbit_table(bundle, summaries, footer_lines):
 
 def _emit_report(args, bundle: Bundle, report, verdict: bool) -> None:
     """The orbit listing of a report; with verdict, also the homomesy verdict."""
-    doc = report.document(map_name=bundle.map_name, space=bundle.space_doc,
-                          serialize_state=bundle.to_json, verdict=verdict)
     summaries = report.orbit_summaries
     footer = [
         f"homomesic: {'yes' if report.homomesic else 'no'}",
@@ -381,7 +379,9 @@ def _emit_report(args, bundle: Bundle, report, verdict: bool) -> None:
         ((bundle.to_text(s.representative), s.period,
           ";".join(format_rational(v) for v in s.average)) for s in summaries),
     )
-    _emit(args, doc, csv_rows, _orbit_table(bundle, summaries, footer))
+    _emit(args, lambda: report.document(map_name=bundle.map_name, space=bundle.space_doc,
+                                        serialize_state=bundle.to_json, verdict=verdict),
+          csv_rows, _orbit_table(bundle, summaries, footer))
 
 
 def _check_expectation(args, homomesic: bool, c) -> int:
@@ -436,22 +436,23 @@ def _run_lyness(args, verdict: bool) -> int:
     def pair(s):
         return format_rational(s.x), format_rational(s.y)
 
-    doc = {
-        "map": "lyness step (x, y) -> (y, (y+1)/x)",
-        "space": {"kind": "rational-pairs",
-                  "constraints": "x, y, x+1, y+1, x+y+1 all nonzero"},
-        "statistic": "log|h(x)| with h(z) = 1/z + 1/z^2, certified by the exact "
-                     "product of |h(x)| over the orbit",
-        "orbits": [{
-            "representative": list(pair(state)),
-            "period": len(cycle),
-            "states": [list(pair(s)) for s in cycle],
-            "abs-h-values": [format_rational(abs_h(s.x)) for s in cycle],
-            "abs-h-product": format_rational(product),
-        }],
-        "homomesic": homomesic,
-        "c": "0" if homomesic else None,
-    }
+    def doc():
+        return {
+            "map": "lyness step (x, y) -> (y, (y+1)/x)",
+            "space": {"kind": "rational-pairs",
+                      "constraints": "x, y, x+1, y+1, x+y+1 all nonzero"},
+            "statistic": "log|h(x)| with h(z) = 1/z + 1/z^2, certified by the exact "
+                         "product of |h(x)| over the orbit",
+            "orbits": [{
+                "representative": list(pair(state)),
+                "period": len(cycle),
+                "states": [list(pair(s)) for s in cycle],
+                "abs-h-values": [format_rational(abs_h(s.x)) for s in cycle],
+                "abs-h-product": format_rational(product),
+            }],
+            "homomesic": homomesic,
+            "c": "0" if homomesic else None,
+        }
     csv_rows = chain([("x", "y", "abs_h_of_x")],
                      ((*pair(s), format_rational(abs_h(s.x))) for s in cycle))
     table = chain(
@@ -503,14 +504,15 @@ def run_subspace(args) -> int:
     vectors = homomesic_subspace(bundle.tau, bundle.space, basis, args.guard)
     checked = [(name, in_reduced_span(coeffs, vectors))
                for name, coeffs in _named_generators(poset, args.system.endswith("-ideals"))]
-    doc = {
-        "system": args.system,
-        "space": bundle.space_doc,
-        "element_order": [[k, l] for (k, l) in elements],
-        "dimension": len(vectors),
-        "basis": [[format_rational(v) for v in vec] for vec in vectors],
-        "generators": [{"name": name, "present": ok} for name, ok in checked],
-    }
+    def doc():
+        return {
+            "system": args.system,
+            "space": bundle.space_doc,
+            "element_order": [[k, l] for (k, l) in elements],
+            "dimension": len(vectors),
+            "basis": [[format_rational(v) for v in vec] for vec in vectors],
+            "generators": [{"name": name, "present": ok} for name, ok in checked],
+        }
     csv_rows = chain([[f"{k},{l}" for (k, l) in elements]],
                      ([format_rational(v) for v in vec] for vec in vectors))
     table = chain(
@@ -551,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "constant, e.g. 3/2 or 1/2,1,1/2 for vector statistics")
         cmd.add_argument("--format", choices=("table", "json", "csv"), default="table")
         cmd.add_argument("--guard", type=int,
-                         help="state/step budget replacing the defaults")
+                         help="positive state/step budget replacing the defaults")
         cmd.add_argument("--graph", help="sandpile graph file")
     return parser
 
@@ -559,6 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.guard is not None and args.guard < 1:
+            raise UsageError("--guard must be a positive integer")
         if args.expect_c is not None and args.command != "check":
             raise UsageError(f"--expect-c applies only to 'check', not to {args.command!r}")
         for flag, value in (("--seed", args.seed), ("--stat", args.stat)):

@@ -4,7 +4,9 @@ Configurations are tuples of grain counts over the non-sink vertices, in
 the graph's vertex order. The one-step dynamic drops a grain on the source
 and stabilizes; its cycle states are the recurrent configurations, and the
 per-vertex firing count of that step is homomesic with constant vector
-f* solving L' f* = 1_source (L' the reduced Laplacian).
+f* solving L' f* = 1_source (L' the reduced Laplacian). `sandpile_tau` and
+the firing statistic validate a configuration once, then share one grain
+drop, whose `sandpile_stabilize` validates again.
 
 Graph text format (see SandpileGraph.from_text): one directed edge bundle
 per line as "v w count", plus the headers "sink t" and "source s". Vertex
@@ -48,16 +50,12 @@ class SandpileGraph:
             for v in self.vertices
         }
         self._check_sink_reachable()
-        # per-vertex firing recipe over non-sink indices
-        self._fire_gain: list[list[tuple[int, int]]] = []
-        self._fire_loss: list[int] = []
-        for v in self.nonsink:
-            gains = []
-            for (a, w), c in multiplicity.items():
-                if a == v and w != sink and w != v:
-                    gains.append((self._pos[w], c))
-            self._fire_gain.append(gains)
-            self._fire_loss.append(self.out_degree[v] - multiplicity.get((v, v), 0))
+        # per-vertex firing threshold and recipe over non-sink indices
+        self._degree = [self.out_degree[v] for v in self.nonsink]
+        self._fire_loss = [self.out_degree[v] - multiplicity.get((v, v), 0)
+                           for v in self.nonsink]
+        self._fire_gain = [[(self._pos[w], c) for (a, w), c in multiplicity.items()
+                            if a == v and w != sink and w != v] for v in self.nonsink]
 
     def _check_sink_reachable(self):
         reachable = {self.sink}
@@ -133,8 +131,7 @@ class SandpileGraph:
         return config
 
     def is_stable(self, config) -> bool:
-        config = self.validate_config(config)
-        return all(g < self.out_degree[v] for g, v in zip(config, self.nonsink))
+        return all(g < d for g, d in zip(self.validate_config(config), self._degree))
 
 
 def sandpile_stabilize(graph: SandpileGraph, config, guard: int | None = None):
@@ -148,8 +145,7 @@ def sandpile_stabilize(graph: SandpileGraph, config, guard: int | None = None):
     grains = list(graph.validate_config(config))
     n = len(grains)
     fired = [0] * n
-    loss, gain = graph._fire_loss, graph._fire_gain
-    degrees = [graph.out_degree[v] for v in graph.nonsink]
+    loss, gain, degrees = graph._fire_loss, graph._fire_gain, graph._degree
     queue = deque(i for i in range(n) if grains[i] >= degrees[i])
     queued = set(queue)
     total = 0
@@ -174,16 +170,19 @@ def sandpile_stabilize(graph: SandpileGraph, config, guard: int | None = None):
     return tuple(grains), tuple(fired)
 
 
+def _drop_grain(graph: SandpileGraph, config: tuple, guard: int | None):
+    """(stable, fired) after a grain lands on the source of a validated config."""
+    bumped = list(config)
+    bumped[graph._pos[graph.source]] += 1
+    return sandpile_stabilize(graph, bumped, guard)
+
+
 def sandpile_tau(graph: SandpileGraph, config, guard: int | None = None):
     """Drop one grain on the source of a stable configuration and stabilize."""
     config = graph.validate_config(config)
-    if not graph.is_stable(config):
+    if any(g >= d for g, d in zip(config, graph._degree)):
         raise ValueError("the one-step dynamic acts on stable configurations")
-    bumped = tuple(
-        g + (1 if v == graph.source else 0) for g, v in zip(config, graph.nonsink)
-    )
-    stable, _ = sandpile_stabilize(graph, bumped, guard)
-    return stable
+    return _drop_grain(graph, config, guard)[0]
 
 
 def stable_configurations(graph: SandpileGraph, guard: int | None = None):
@@ -193,8 +192,7 @@ def stable_configurations(graph: SandpileGraph, guard: int | None = None):
         total *= graph.out_degree[v]
         if total > cap:
             raise GuardExceeded(f"stable configuration count exceeds the guard of {cap}")
-    ranges = [range(graph.out_degree[v]) for v in graph.nonsink]
-    return [tuple(c) for c in iter_product(*ranges)]
+    return [tuple(c) for c in iter_product(*map(range, graph._degree))]
 
 
 def sandpile_recurrents(graph: SandpileGraph, guard: int | None = None):
@@ -227,12 +225,7 @@ def firing_statistic(graph: SandpileGraph, guard: int | None = None) -> Statisti
     within a budget of guard firings."""
 
     def fire_counts(config):
-        config = graph.validate_config(config)
-        bumped = tuple(
-            g + (1 if v == graph.source else 0) for g, v in zip(config, graph.nonsink)
-        )
-        _, fired = sandpile_stabilize(graph, bumped, guard)
-        return fired
+        return _drop_grain(graph, graph.validate_config(config), guard)[1]
 
     return Statistic("firing-vector", len(graph.nonsink), fire_counts)
 

@@ -5,7 +5,8 @@ composite of the Bender-Knuth involutions applied in the order BK_1 first,
 then BK_2, ..., finally BK_{k-1}; with that pinned order, promotion on an
 m x n rectangle has order dividing k, and for any cell set R that is
 invariant under 180-degree rotation of the rectangle the entry sum over R
-is |R|(k+1)/2-mesic.
+is |R|(k+1)/2-mesic. Each `SSYT` is checked once, when it is built: at
+enumeration, seed parsing, and once per promotion (not per involution).
 """
 from __future__ import annotations
 
@@ -55,39 +56,43 @@ class SSYT:
 
 
 def bender_knuth(tableau: SSYT, i: int) -> SSYT:
-    """The involution swapping the multiplicities of i and i+1.
+    """The involution swapping the multiplicities of i and i+1."""
+    if not 1 <= i <= tableau.ceiling - 1:
+        raise ValueError(f"involution index {i} outside 1..{tableau.ceiling - 1}")
+    return _bender_knuth_steps(tableau, (i,))
+
+
+def ssyt_promotion(tableau: SSYT) -> SSYT:
+    """BK_1 applied first, then BK_2 through BK_{ceiling-1}."""
+    return _bender_knuth_steps(tableau, range(1, tableau.ceiling))
+
+
+def _bender_knuth_steps(tableau: SSYT, indices) -> SSYT:
+    """BK_i for each i of indices in turn, on a copy of the rows.
 
     An i is locked when i+1 sits directly below it, an i+1 when i sits
     directly above it; in each row the free i's (say r of them) and free
     i+1's (s of them) are rewritten as s i's followed by r i+1's.
     """
-    if not 1 <= i <= tableau.ceiling - 1:
-        raise ValueError(f"involution index {i} outside 1..{tableau.ceiling - 1}")
     grid = [list(row) for row in tableau.rows]
     nrows = len(grid)
-    for r, row in enumerate(grid):
-        free = []
-        for c, value in enumerate(row):
-            if value == i:
-                if r + 1 < nrows and grid[r + 1][c] == i + 1:
-                    continue
-                free.append(c)
-            elif value == i + 1:
-                if r > 0 and grid[r - 1][c] == i:
-                    continue
-                free.append(c)
-        small = sum(1 for c in free if row[c] == i)
-        large = len(free) - small
-        for pos, c in enumerate(free):
-            row[c] = i if pos < large else i + 1
-    return SSYT(tableau.ceiling, tuple(tuple(row) for row in grid))
-
-
-def ssyt_promotion(tableau: SSYT) -> SSYT:
-    """BK_1 applied first, then BK_2 through BK_{ceiling-1}."""
-    for i in range(1, tableau.ceiling):
-        tableau = bender_knuth(tableau, i)
-    return tableau
+    for i in indices:
+        for r, row in enumerate(grid):
+            free = []
+            for c, value in enumerate(row):
+                if value == i:
+                    if r + 1 < nrows and grid[r + 1][c] == i + 1:
+                        continue
+                    free.append(c)
+                elif value == i + 1:
+                    if r > 0 and grid[r - 1][c] == i:
+                        continue
+                    free.append(c)
+            small = sum(1 for c in free if row[c] == i)
+            large = len(free) - small
+            for pos, c in enumerate(free):
+                row[c] = i if pos < large else i + 1
+    return SSYT(tableau.ceiling, grid)
 
 
 def rect_tableaux(nrows: int, ncols: int, ceiling: int,

@@ -9,7 +9,8 @@ pads with 1s to exactly n - 1 - lambda_1 parts and has order n. The box in
 row r, column c (1-indexed) carries weight n - r - c + 1; the total weight
 is (n^3 - n)/12-mesic, and for i + j = n the sum of the weight-i diagonal
 plus the weight-j diagonal is ij-mesic (for i = j that diagonal counts
-twice).
+twice). Membership in Y_n is checked at enumeration, seed parsing and once
+per `suter_rho` step; the weight statistics read rows without a check.
 """
 from __future__ import annotations
 
@@ -82,7 +83,8 @@ def box_weights(n: int, diagram) -> list[int]:
 
 def weight_statistic(n: int) -> Statistic:
     """Total box weight; (n^3 - n)/12-mesic under rho_n."""
-    return Statistic.scalar("weight", lambda lam: sum(box_weights(n, lam)))
+    return Statistic.scalar("weight", lambda lam: sum(
+        p * (2 * (n - r) - p + 1) // 2 for r, p in enumerate(lam, start=1)))
 
 
 def diagonal_weight_statistic(n: int, i: int, j: int) -> Statistic:
@@ -95,7 +97,8 @@ def diagonal_weight_statistic(n: int, i: int, j: int) -> Statistic:
         raise ValueError("need positive i, j with i + j = n")
 
     def value(diagram):
-        weights = box_weights(n, diagram)
-        return sum(w for w in weights if w == i) + sum(w for w in weights if w == j)
+        # row r of length p has its weight-w box, if any, in column n - r + 1 - w
+        return sum(w for r, p in enumerate(diagram, start=1) for w in (i, j)
+                   if 1 <= n - r + 1 - w <= p)
 
     return Statistic.scalar(f"weight:{i},{j}", value)

@@ -18,7 +18,7 @@ from homomesy.dynamics import (
     rowmotion_antichain,
     rowmotion_ideal,
 )
-from homomesy.engine import Statistic, orbit_average, orbit_partition
+from homomesy.engine import HomomesyReport, Statistic, orbit_average, orbit_partition
 from homomesy.posets import GridPoset
 
 CYCLE4 = """1 2 1
@@ -103,6 +103,25 @@ class TestCheck:
                              "--a", "4", "--b", "4", "--guard", "10")
         assert code == 3
         assert "guard exceeded" in err
+
+    @pytest.mark.parametrize("command", ["check", "orbits", "subspace"])
+    @pytest.mark.parametrize("guard", ["0", "-5"])
+    def test_non_positive_guard_is_a_usage_error(self, capsys, command, guard):
+        code, out, err = run(capsys, command, "grid-rowmotion-ideals",
+                             "--a", "2", "--b", "2", "--guard", guard)
+        assert code == 2
+        assert out == ""
+        assert "--guard must be a positive integer" in err
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_only_json_builds_the_document(self, capsys, monkeypatch, fmt):
+        def refuse(self, **kwargs):
+            raise AssertionError("the JSON document was built")
+
+        monkeypatch.setattr(HomomesyReport, "document", refuse)
+        code, out, err = run(capsys, "check", "grid-rowmotion-ideals",
+                             "--a", "2", "--b", "2", "--format", fmt)
+        assert code == 0 and err == "" and "1,1" in out
 
     def test_missing_flags_exit_2(self, capsys):
         code, out, err = run(capsys, "check", "grid-rowmotion-ideals", "--a", "3")

@@ -173,6 +173,26 @@ class TestRecurrents:
         assert sandpile_tau(cycle4, (0, 1, 1)) == (1, 1, 0)
         assert sandpile_tau(cycle4, (1, 1, 0)) == (0, 1, 1)
 
+    def test_tau_validates_before_and_inside_stabilization(self, cycle4, monkeypatch):
+        calls = []
+        original = SandpileGraph.validate_config
+
+        def counting(self, config):
+            calls.append(1)
+            return original(self, config)
+
+        monkeypatch.setattr(SandpileGraph, "validate_config", counting)
+        assert sandpile_tau(cycle4, (1, 0, 1)) == (1, 1, 1)
+        assert len(calls) == 2  # its own check, then sandpile_stabilize's
+
+    def test_negative_grain_at_the_source_is_rejected(self, cycle4):
+        # -1 at the source would become 0 after the grain drop
+        assert cycle4.nonsink.index(cycle4.source) == 1
+        with pytest.raises(ValueError, match="nonnegative"):
+            sandpile_tau(cycle4, (1, -1, 1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            firing_statistic(cycle4)((1, -1, 1))
+
 
 class TestGuardReachesEveryStabilization:
     def test_recurrents(self):

@@ -182,3 +182,57 @@ class TestRotationInvariantHomomesy:
         space = rect_tableaux(2, 3, 5)
         report = check_homomesy(ssyt_promotion, space, cell_sum_statistic([(1, 1)]))
         assert not report.homomesic
+
+
+def reference_bender_knuth(tableau, i):
+    """BK_i as one checked step, written independently of the package: the
+    free i's and i+1's of each row trade multiplicities."""
+    grid = [list(row) for row in tableau.rows]
+    for r, row in enumerate(grid):
+        free = [c for c, v in enumerate(row)
+                if (v == i and not (r + 1 < len(grid) and grid[r + 1][c] == i + 1))
+                or (v == i + 1 and not (r > 0 and grid[r - 1][c] == i))]
+        small = sum(1 for c in free if row[c] == i)
+        for pos, c in enumerate(free):
+            row[c] = i if pos < len(free) - small else i + 1
+    return SSYT(tableau.ceiling, tuple(tuple(row) for row in grid))
+
+
+def reference_promotion(tableau):
+    """Promotion as the composite of checked Bender-Knuth steps, BK_1 first."""
+    for i in range(1, tableau.ceiling):
+        tableau = reference_bender_knuth(tableau, i)
+    return tableau
+
+
+DIFFERENTIAL_SHAPES = ([(2, 2, k) for k in range(1, 6)] + [(2, 3, k) for k in range(1, 6)]
+                       + [(3, 3, k) for k in range(1, 6)] + [(1, 4, 3)])
+
+
+class TestPromotionAgainstCheckedSteps:
+    @pytest.mark.parametrize("nrows,ncols,ceiling", DIFFERENTIAL_SHAPES)
+    def test_promotion_and_every_involution_match(self, nrows, ncols, ceiling):
+        for t in rect_tableaux(nrows, ncols, ceiling):
+            images = [(ssyt_promotion(t), reference_promotion(t))]
+            images += [(bender_knuth(t, i), reference_bender_knuth(t, i))
+                       for i in range(1, ceiling)]
+            for image, expected in images:
+                assert image == expected
+                assert SSYT(image.ceiling, image.rows) == image
+
+    def test_check_builds_two_tableaux_per_state(self, monkeypatch, capsys):
+        from homomesy.cli import main
+
+        calls = []
+        original = SSYT.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            original(self)
+
+        monkeypatch.setattr(SSYT, "__post_init__", counting)
+        assert main(["check", "ssyt", "--a", "2", "--b", "3", "--k", "4"]) == 0
+        assert "homomesic: yes" in capsys.readouterr().out
+        monkeypatch.undo()
+        # one check at enumeration, one for each promotion image
+        assert len(calls) == 2 * len(rect_tableaux(2, 3, 4))

@@ -123,3 +123,35 @@ def test_orbit_of_empty_diagram_visits_all_rectangle_shapes():
     orbit = iterate_orbit(lambda d: suter_rho(7, d), ())
     assert orbit.period == 7
     assert set(orbit.states) == {()} | {(m,) * (7 - m) for m in range(1, 7)}
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_row_formulas_match_the_box_weight_definitions(n):
+    space = staircase_diagrams(n)
+    total = weight_statistic(n)
+    for diagram in space:
+        assert total(diagram) == (sum(box_weights(n, diagram)),)
+    for i in range(1, n):
+        j = n - i
+        stat = diagonal_weight_statistic(n, i, j)
+        for diagram in space:
+            weights = box_weights(n, diagram)
+            expected = sum(w for w in weights if w == i) + sum(w for w in weights if w == j)
+            assert stat(diagram) == (expected,)
+
+
+def test_check_tests_membership_once_per_state(monkeypatch, capsys):
+    from homomesy.cli import main
+    from homomesy.gallery import suter
+
+    calls = []
+    original = suter.is_staircase_member
+
+    def counting(n, diagram):
+        calls.append(1)
+        return original(n, diagram)
+
+    monkeypatch.setattr(suter, "is_staircase_member", counting)
+    assert main(["check", "suter", "--n", "7"]) == 0
+    assert "homomesic: yes" in capsys.readouterr().out
+    assert len(calls) == 2 ** 6  # |Y_7|: suter_rho checks each state once
