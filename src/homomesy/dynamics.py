@@ -95,10 +95,16 @@ def promotion_ideal(poset: GridPoset, ideal: OrderIdeal) -> OrderIdeal:
     """Promotion on order ideals of [a] x [b]: file toggles, left to right."""
     if not isinstance(poset, GridPoset):
         raise ValueError("promotion is defined on grid posets")
-    for f in poset.files:
-        for i in poset._file_indices[f]:  # bottom to top
-            ideal = _toggle_index(poset, ideal, i)
-    return ideal
+    # a file holds no cover relation, so its toggles commute and run as one
+    # mask: flip the members that are maximal in the ideal or minimal in its
+    # complement (GridPoset.maximal_elements, minimal_elements_of_complement)
+    m, b, full = ideal.mask, poset.b, poset.full
+    col1, lastcol, row1 = poset.col1, poset.lastcol, poset.row1
+    for f in poset._file_masks.values():  # files left to right
+        top = m & ~((m >> 1) & ~lastcol) & ~(m >> b)
+        bottom = ~m & (((m << 1) & ~col1) | col1) & (((m << b) & full) | row1)
+        m ^= f & (top | bottom)
+    return OrderIdeal(m)
 
 
 def promotion_antichain(poset: GridPoset, antichain: Antichain) -> Antichain:

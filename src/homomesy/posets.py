@@ -241,9 +241,15 @@ class GridPoset(FinitePoset):
     """The product of two chains [a] x [b].
 
     Elements are the pairs (k, l) with 1 <= k <= a and 1 <= l <= b, listed
-    in lexicographic order (which is itself a linear extension). The cover
-    moves raise one coordinate by 1. Rank of (k, l) is k + l - 2; the file
-    is l - k and ranges over [1 - a, b - 1].
+    in lexicographic order (which is itself a linear extension), so (k, l)
+    is bit (k - 1) * b + (l - 1) of every mask: row k is a run of b bits,
+    and the cover moves raise one coordinate by 1, which is a shift left by
+    1 inside a row or by b across rows. Rank of (k, l) is k + l - 2; the
+    file is l - k and ranges over [1 - a, b - 1].
+
+    Enumeration and the ideal/antichain bijection override the generic
+    FinitePoset code with shift-and-mask kernels on that layout; the
+    generic code stays the reference for them.
     """
 
     def __init__(self, a: int, b: int):
@@ -268,6 +274,19 @@ class GridPoset(FinitePoset):
         for x in elements:
             ranks.setdefault(self.rank(x), []).append(self.index[x])
         self._rank_indices = {r: tuple(v) for r, v in ranks.items()}
+        # masks for the kernels
+        self.full = self.full_mask
+        self.col1 = self.element_mask(self.negative_fiber(1))
+        self.lastcol = self.element_mask(self.negative_fiber(b))
+        self.row1 = self.element_mask(self.positive_fiber(1))
+        self._file_masks = {f: sum(1 << i for i in v) for f, v in self._file_indices.items()}
+        # down closure smear: column shifts by b, 2b, 4b, ..., then row shifts
+        # by s = 1, 2, 4, ... keeping only destination columns below b - s,
+        # where the shifted bit came from the same row
+        self._column_shifts = tuple(b << j for j in range(a.bit_length()) if b << j < a * b)
+        self._row_lanes = tuple(
+            (s, self.element_mask((k, l) for k in range(1, a + 1) for l in range(1, b - s + 1)))
+            for s in (1 << j for j in range(b.bit_length())) if s < b)
 
     @staticmethod
     def rank(x) -> int:
@@ -284,15 +303,18 @@ class GridPoset(FinitePoset):
         """File indices, leftmost (1 - a) to rightmost (b - 1)."""
         return range(1 - self.a, self.b)
 
+    def _check_file(self, f: int) -> None:
+        if not 1 - self.a <= f <= self.b - 1:
+            raise ValueError(f"file index {f} outside [{1 - self.a}, {self.b - 1}]")
+
     def file_members(self, f: int) -> tuple:
         """Elements of file f, bottom to top."""
+        self._check_file(f)
         return tuple(self.elements[i] for i in self._file_indices[f])
 
     def file_mask(self, f: int) -> int:
-        mask = 0
-        for i in self._file_indices[f]:
-            mask |= 1 << i
-        return mask
+        self._check_file(f)
+        return self._file_masks[f]
 
     def positive_fiber(self, k: int) -> tuple:
         """The chain {(k, l) : 1 <= l <= b}."""
@@ -308,6 +330,8 @@ class GridPoset(FinitePoset):
 
     def opposite(self, x):
         """180-degree rotation: (k, l) -> (a + 1 - k, b + 1 - l)."""
+        if x not in self.index:
+            raise ValueError(f"{x!r} is not an element of this poset")
         k, l = x
         return (self.a + 1 - k, self.b + 1 - l)
 
@@ -315,12 +339,48 @@ class GridPoset(FinitePoset):
         return math.comb(self.a + self.b, self.a)
 
     def enumerate_order_ideals(self, guard: int | None = None) -> list[OrderIdeal]:
+        """All order ideals, sorted by ascending mask value.
+
+        An ideal is a partition in the a x b box, b >= r_1 >= ... >= r_a >= 0,
+        whose row k holds the lowest r_k bits of that row. The masks are
+        built row by row from the bottom; a higher row is worth more than
+        all rows below it, so listing its lengths in ascending order over
+        sorted lists of the rows below keeps the result sorted.
+        """
         cap = DEFAULT_ENUMERATION_GUARD if guard is None else guard
         if self.ideal_count() > cap:
             raise GuardExceeded(
                 f"[{self.a}]x[{self.b}] has {self.ideal_count()} ideals, over the guard of {cap}"
             )
-        return super().enumerate_order_ideals(guard)
+        b = self.b
+        # below[r]: the sorted masks of the rows so far whose top row has length >= r
+        below = [[0]] * (b + 1)
+        for shift in range(0, self.a * b, b):
+            longer: list[int] = []
+            for r in range(b, -1, -1):
+                row = ((1 << r) - 1) << shift
+                longer = [row | m for m in below[r]] + longer
+                below[r] = longer
+        return [OrderIdeal(m) for m in below[0]]
+
+    def down_closure(self, generators) -> OrderIdeal:
+        if not isinstance(generators, (Antichain, OrderIdeal)):
+            return super().down_closure(generators)
+        m = generators.mask
+        for s in self._column_shifts:
+            m |= m >> s
+        for s, keep in self._row_lanes:
+            m |= (m >> s) & keep
+        return OrderIdeal(m)
+
+    def maximal_elements(self, ideal: OrderIdeal) -> Antichain:
+        m = ideal.mask
+        return Antichain(m & ~((m >> 1) & ~self.lastcol) & ~(m >> self.b))
+
+    def minimal_elements_of_complement(self, ideal: OrderIdeal) -> Antichain:
+        m, full, col1 = ideal.mask, self.full, self.col1
+        return Antichain(full & ~m & (((m << 1) & ~col1) | col1)
+                         & (((m << self.b) & full) | self.row1))
 
     # -- serialization helpers -------------------------------------------
 

@@ -104,6 +104,14 @@ class TestCheck:
         assert code == 3
         assert "guard exceeded" in err
 
+    def test_guard_exceeded_on_antichains_exits_3(self, capsys):
+        code, out, err = run(capsys, "check", "grid-rowmotion-antichains",
+                             "--a", "4", "--b", "4", "--guard", "69")
+        assert code == 3
+        assert out == ""
+        assert "70 ideals" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["check", "orbits", "subspace"])
     @pytest.mark.parametrize("guard", ["0", "-5"])
     def test_non_positive_guard_is_a_usage_error(self, capsys, command, guard):

@@ -22,9 +22,26 @@ from homomesy.dynamics import (
     stanley_thomas_word,
     toggle,
 )
-from homomesy.posets import FinitePoset, GridPoset, OrderIdeal
+from homomesy import dynamics
+from homomesy.posets import FinitePoset, GridPoset, OrderIdeal, iter_bits
 
 pm_word_strategy = st.lists(st.sampled_from([PLUS, MINUS]), max_size=14).map(tuple)
+
+
+def plain_poset(grid):
+    """The same poset as a generic FinitePoset, built from the grid's covers."""
+    covers = [(x, grid.elements[j]) for i, x in enumerate(grid.elements)
+              for j in iter_bits(grid.up_covers[i])]
+    return FinitePoset(grid.elements, covers)
+
+
+def reference_promotion_ideal(poset, ideal):
+    """Promotion as single-element toggles: files left to right, bottom to
+    top inside each file."""
+    for f in poset.files:
+        for x in poset.file_members(f):
+            ideal = toggle(poset, ideal, x)
+    return ideal
 
 
 def run_exchange_reversal(word):
@@ -164,6 +181,29 @@ class TestPromotion:
             via_ideals = poset.maximal_elements(
                 promotion_ideal(poset, poset.down_closure(chain)))
             assert direct == via_ideals
+
+
+class TestGridKernelsMatchGeneric:
+    @pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 7) for b in range(1, 7)])
+    def test_all_four_maps(self, a, b):
+        grid = GridPoset(a, b)
+        plain = plain_poset(grid)
+        for ideal in plain.enumerate_order_ideals():
+            assert rowmotion_ideal(grid, ideal) == rowmotion_ideal(plain, ideal)
+            assert promotion_ideal(grid, ideal) == reference_promotion_ideal(grid, ideal)
+        for chain in plain.enumerate_antichains():
+            assert rowmotion_antichain(grid, chain) == rowmotion_antichain(plain, chain)
+            assert promotion_antichain(grid, chain) == plain.maximal_elements(
+                reference_promotion_ideal(grid, plain.down_closure(chain)))
+
+    def test_promotion_never_toggles_one_element(self, monkeypatch):
+        def refuse(poset, ideal, i):
+            raise AssertionError("a single-element toggle ran")
+
+        monkeypatch.setattr(dynamics, "_toggle_index", refuse)
+        poset = GridPoset(3, 4)
+        for ideal in poset.enumerate_order_ideals():
+            promotion_ideal(poset, ideal)
 
 
 class TestHeightFunction:

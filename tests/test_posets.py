@@ -9,6 +9,16 @@ from homomesy.guards import GuardExceeded
 from homomesy.posets import Antichain, FinitePoset, GridPoset, OrderIdeal, iter_bits
 
 
+GRID_SIZES = [(a, b) for a in range(1, 7) for b in range(1, 7)]
+
+
+def plain_poset(grid):
+    """The same poset as a generic FinitePoset, built from the grid's covers."""
+    covers = [(x, grid.elements[j]) for i, x in enumerate(grid.elements)
+              for j in iter_bits(grid.up_covers[i])]
+    return FinitePoset(grid.elements, covers)
+
+
 def brute_down_closure(poset, items):
     out = set()
     for y in items:
@@ -239,6 +249,35 @@ class TestGridPoset:
         with pytest.raises(GuardExceeded, match="70 ideals"):
             poset.enumerate_order_ideals(guard=69)
 
+    def test_precheck_guard_on_antichains(self):
+        poset = GridPoset(4, 4)
+        with pytest.raises(GuardExceeded, match="70 ideals"):
+            poset.enumerate_antichains(guard=69)
+        assert len(poset.enumerate_antichains(guard=70)) == 70
+
+    def test_enumeration_never_runs_the_generic_walk(self, monkeypatch):
+        def refuse(self, guard=None):
+            raise AssertionError("the generic ideal walk ran")
+
+        monkeypatch.setattr(FinitePoset, "enumerate_order_ideals", refuse)
+        poset = GridPoset(4, 5)
+        assert len(poset.enumerate_order_ideals()) == 126
+        assert len(poset.enumerate_antichains()) == 126
+
+    def test_file_index_out_of_range(self):
+        poset = GridPoset(2, 3)
+        with pytest.raises(ValueError, match=r"file index 5 outside \[-1, 2\]"):
+            poset.file_mask(5)
+        with pytest.raises(ValueError, match=r"file index -7 outside \[-1, 2\]"):
+            poset.file_members(-7)
+        assert poset.members(poset.file_mask(-1)) == poset.file_members(-1) == ((2, 1),)
+
+    def test_opposite_rejects_non_elements(self):
+        poset = GridPoset(2, 3)
+        with pytest.raises(ValueError, match="not an element"):
+            poset.opposite((9, 9))
+        assert poset.opposite((1, 1)) == (2, 3)
+
     def test_state_pairs(self):
         poset = GridPoset(2, 2)
         ideal = poset.ideal([(1, 1), (1, 2)])
@@ -262,3 +301,38 @@ def test_maximal_elements_form_an_antichain(a, b, bits):
     chain = poset.maximal_elements(ideal)
     assert poset.is_antichain_mask(chain.mask)
     assert poset.down_closure(chain) == ideal
+
+
+class TestGridKernelsMatchGeneric:
+    """The GridPoset shift-and-mask kernels against the FinitePoset code on
+    the same poset built from the grid's covers."""
+
+    @pytest.mark.parametrize("a,b", GRID_SIZES)
+    def test_enumerations(self, a, b):
+        grid = GridPoset(a, b)
+        plain = plain_poset(grid)
+        assert grid.enumerate_order_ideals() == plain.enumerate_order_ideals()
+        assert grid.enumerate_antichains() == plain.enumerate_antichains()
+
+    @pytest.mark.parametrize("a,b", GRID_SIZES)
+    def test_bijection_kernels(self, a, b):
+        grid = GridPoset(a, b)
+        plain = plain_poset(grid)
+        for ideal in plain.enumerate_order_ideals():
+            assert grid.maximal_elements(ideal) == plain.maximal_elements(ideal)
+            assert grid.minimal_elements_of_complement(ideal) == \
+                plain.minimal_elements_of_complement(ideal)
+        for chain in plain.enumerate_antichains():
+            assert grid.down_closure(chain) == plain.down_closure(chain)
+
+    def test_down_closure_of_elements_is_still_validated(self):
+        with pytest.raises(ValueError, match="not an element"):
+            GridPoset(2, 2).down_closure([(3, 1)])
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 16 - 1))
+def test_down_closure_of_any_mask_matches_brute_force(a, b, bits):
+    poset = GridPoset(a, b)
+    mask = bits & poset.full_mask
+    got = poset.down_closure(OrderIdeal(mask))
+    assert set(poset.members(got)) == brute_down_closure(poset, poset.members(mask))
