@@ -18,7 +18,8 @@ cells:r,c;r,c with 1-based cells (ssyt). A malformed PARAM, an empty one
 included, exits 2 and names the grammar.
 
 --expect-c applies only to 'check'; the other commands reject it, and
-'subspace' rejects --seed and --stat too. Exit codes: 0 success, 2 usage,
+'subspace' rejects --seed and --stat too. A system rejects any of
+--a/--b/--n/--k/--graph that it does not read. Exit codes: 0 success, 2 usage,
 3 guard exceeded, 4 an --expect-c expectation failed.
 """
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .gallery.suter import (diagonal_weight_statistic, is_staircase_member, stai
                             suter_rho, weight_statistic)
 from .gallery.words import ballot_system, cyclic_inversions_system, reversal_inversions_system
 from .guards import GuardExceeded
-from .posets import GridPoset
+from .posets import GridPoset, check_grid_guard
 from .rationals import format_rational, parse_rational_vector
 
 EXIT_OK, EXIT_USAGE, EXIT_GUARD, EXIT_EXPECTATION = 0, 2, 3, 4
@@ -107,6 +108,7 @@ def _comma_text(values) -> str:
 # -- per-system bundles -------------------------------------------------------
 
 def _grid_bundle(args) -> Bundle:
+    check_grid_guard(args.a, args.b, args.guard)  # before the (ab)^2-bit tables exist
     poset = GridPoset(args.a, args.b)
     promo = "promotion" in args.system
     if args.system.endswith("-ideals"):
@@ -139,7 +141,7 @@ def _parse_cell_pairs(text: str):
     except json.JSONDecodeError as exc:
         raise UsageError(f"seed must be a JSON list of [k,l] pairs: {exc}") from None
     if not isinstance(data, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(v, int) for v in p)
+        isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)  # not bool
         for p in data
     ):
         raise UsageError("seed must be a JSON list of [k,l] integer pairs")
@@ -498,7 +500,7 @@ def run_subspace(args) -> int:
     poset, elements = bundle.poset, bundle.poset.elements
     basis = [
         Statistic.scalar(f"indicator[{k},{l}]",
-                         (lambda i: lambda s: s.mask >> i & 1)(poset.index[(k, l)]))
+                         (lambda i: lambda s: s >> i & 1)(poset.index[(k, l)]))
         for (k, l) in elements
     ]
     vectors = homomesic_subspace(bundle.tau, bundle.space, basis, args.guard)
@@ -569,6 +571,10 @@ def main(argv=None) -> int:
             if value is not None and args.command == "subspace":
                 raise UsageError(f"'subspace' searches the indicator statistics of the whole "
                                  f"space; it takes no {flag}")
+        listed = [flag.split()[0] for flag in SYSTEMS[args.system][0]]
+        for name in ("a", "b", "n", "k", "graph"):
+            if getattr(args, name) is not None and name not in listed:
+                raise UsageError(f"system {args.system!r} takes no --{name}")
         if args.command == "subspace":
             return run_subspace(args)
         return run_check(args, verdict=args.command == "check")

@@ -16,6 +16,7 @@ Conventions fixed here once and used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .posets import Antichain, FinitePoset, GridPoset, OrderIdeal, iter_bits
 
@@ -33,13 +34,13 @@ def toggle(poset: FinitePoset, ideal: OrderIdeal, x) -> OrderIdeal:
 
 def _toggle_index(poset: FinitePoset, ideal: OrderIdeal, i: int) -> OrderIdeal:
     bit = 1 << i
-    if ideal.mask & bit:
-        if poset.up_covers[i] & ideal.mask:
+    if ideal & bit:
+        if poset.up_covers[i] & ideal:
             return ideal
-        return OrderIdeal(ideal.mask ^ bit)
-    if poset.down_covers[i] & ~ideal.mask:
+        return OrderIdeal(ideal ^ bit)
+    if poset.down_covers[i] & ~ideal:
         return ideal
-    return OrderIdeal(ideal.mask | bit)
+    return OrderIdeal(ideal | bit)
 
 
 # -- rowmotion ---------------------------------------------------------------
@@ -74,13 +75,12 @@ def rowmotion_ideal_by_toggles(poset: FinitePoset, ideal: OrderIdeal,
 
 
 def rowmotion_ideal_by_ranks(poset: GridPoset, ideal: OrderIdeal) -> OrderIdeal:
-    """Rowmotion as rank toggles, top rank first (grid posets only)."""
+    """Rowmotion as rank toggles, top rank first (grid posets only): the
+    ranks listed in order are a linear extension, and toggles inside a rank
+    commute."""
     if not isinstance(poset, GridPoset):
         raise ValueError("rank-toggle rowmotion is defined on grid posets")
-    for r in range(poset.a + poset.b - 2, -1, -1):
-        for i in poset._rank_indices[r]:  # toggles inside a rank commute
-            ideal = _toggle_index(poset, ideal, i)
-    return ideal
+    return rowmotion_ideal_by_toggles(poset, ideal, sorted(poset.elements, key=poset.rank))
 
 
 def rowmotion_antichain(poset: FinitePoset, antichain: Antichain) -> Antichain:
@@ -98,7 +98,7 @@ def promotion_ideal(poset: GridPoset, ideal: OrderIdeal) -> OrderIdeal:
     # a file holds no cover relation, so its toggles commute and run as one
     # mask: flip the members that are maximal in the ideal or minimal in its
     # complement (GridPoset.maximal_elements, minimal_elements_of_complement)
-    m, b, full = ideal.mask, poset.b, poset.full
+    m, b, full = ideal, poset.b, poset.full_mask
     col1, lastcol, row1 = poset.col1, poset.lastcol, poset.row1
     for f in poset._file_masks.values():  # files left to right
         top = m & ~((m >> 1) & ~lastcol) & ~(m >> b)
@@ -137,13 +137,9 @@ class HeightFunction:
 
 
 def height_function(poset: GridPoset, ideal: OrderIdeal) -> HeightFunction:
-    counts = {f: 0 for f in poset.files}
-    for k, l in poset.members(ideal):
-        counts[l - k] += 1
-    values = []
-    for k in range(-poset.a, poset.b + 1):
-        values.append(abs(k) + 2 * counts.get(k, 0))
-    return HeightFunction(poset.a, poset.b, tuple(values))
+    files = poset._file_masks  # -a and b are no file: h(-a) = a, h(b) = b
+    return HeightFunction(poset.a, poset.b, tuple(
+        abs(k) + 2 * (ideal & files.get(k, 0)).bit_count() for k in range(-poset.a, poset.b + 1)))
 
 
 def sign_word(poset: GridPoset, ideal: OrderIdeal) -> tuple[int, ...]:
@@ -162,9 +158,8 @@ def ideal_from_sign_word(poset: GridPoset, word) -> OrderIdeal:
         height += letter
         k = pos - poset.a  # file index of the step just closed
         if 1 - poset.a <= k <= poset.b - 1:
-            count = (height - abs(k)) // 2
-            for i in poset._file_indices[k][:count]:
-                mask |= 1 << i
+            count = (height - abs(k)) // 2  # the lowest members of file k
+            mask |= sum(1 << i for i in islice(iter_bits(poset._file_masks[k]), count))
     return OrderIdeal(mask)
 
 

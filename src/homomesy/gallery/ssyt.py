@@ -99,35 +99,37 @@ def rect_tableaux(nrows: int, ncols: int, ceiling: int,
                   guard: int | None = None) -> list[SSYT]:
     """All SSYT on the nrows x ncols rectangle with entries <= ceiling.
 
-    Row-major backtracking; the list comes back in lexicographic order.
-    Empty when ceiling < nrows (columns could not strictly increase).
+    Row-major depth-first walk, in lexicographic order. Row r (0-based) is
+    capped at ceiling - (nrows - 1 - r) to leave room for the column below,
+    so no branch dead-ends. Empty when ceiling < nrows.
     """
     if nrows < 1 or ncols < 1:
         raise ValueError("rectangle dimensions must be at least 1")
     if ceiling < 1:
         raise ValueError("entry ceiling must be at least 1")
     cap = DEFAULT_ENUMERATION_GUARD if guard is None else guard
-    grid = [[0] * ncols for _ in range(nrows)]
+    ncells = nrows * ncols
+    top = [ceiling - (nrows - 1 - r) for r in range(nrows)]
+    cells = [0] * ncells  # the entries so far; the walk's stack is cells[:pos]
     found: list[SSYT] = []
-
-    def fill(pos: int):
-        if pos == nrows * ncols:
+    pos = 0 if ceiling >= nrows else -1
+    while pos >= 0:
+        if pos == ncells:
             if len(found) >= cap:
                 raise GuardExceeded(f"tableau count exceeds the guard of {cap}")
-            found.append(SSYT(ceiling, tuple(tuple(row) for row in grid)))
-            return
+            found.append(SSYT(ceiling, [cells[i:i + ncols] for i in range(0, ncells, ncols)]))
+            pos -= 1
+            continue
         r, c = divmod(pos, ncols)
-        low = 1
-        if c > 0:
-            low = max(low, grid[r][c - 1])
-        if r > 0:
-            low = max(low, grid[r - 1][c] + 1)
-        for value in range(low, ceiling + 1):
-            grid[r][c] = value
-            fill(pos + 1)
-        grid[r][c] = 0
-
-    fill(0)
+        # the next entry here, or on entering the cell the least its neighbours allow
+        value = cells[pos] + 1 if cells[pos] else max(
+            1, cells[pos - 1] if c else 1, cells[pos - ncols] + 1 if r else 1)
+        if value > top[r]:
+            cells[pos] = 0
+            pos -= 1
+        else:
+            cells[pos] = value
+            pos += 1
     return found
 
 

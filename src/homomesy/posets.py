@@ -1,15 +1,15 @@
 """Finite posets with bitmask order-ideal and antichain state spaces.
 
 A poset fixes its element order at construction time; ideals and
-antichains are immutable bitmask wrappers relative to that order, so
-states are hashable, totally ordered (by mask value), and cheap to
-enumerate. Everything here is pure: no method mutates a state.
+antichains are immutable bitmasks relative to that order. A state is the
+int it stores, so it is hashable, totally ordered by mask value, and
+equal to its mask, and bit operations read it directly. Everything here
+is pure: no method mutates a state.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 from .guards import DEFAULT_ENUMERATION_GUARD, GuardExceeded
 
@@ -22,24 +22,41 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True, order=True)
-class OrderIdeal:
+class _MaskState(int):
+    """A subset of a poset's elements: the bitmask over its element order.
+
+    Hash, equality and order are the int's, so a state equals its mask and
+    bit operations on it return a plain int.
+    """
+
+    __slots__ = ()
+    mask = property(int)
+    __len__ = int.bit_count
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(mask={int(self)})"
+
+
+class OrderIdeal(_MaskState):
     """A down-closed subset, stored as a bitmask over the poset's element order."""
 
-    mask: int
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
+    __slots__ = ()
 
 
-@dataclass(frozen=True, order=True)
-class Antichain:
+class Antichain(_MaskState):
     """A pairwise-incomparable subset, stored as a bitmask."""
 
-    mask: int
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return self.mask.bit_count()
+
+def check_grid_guard(a: int, b: int, guard: int | None = None) -> None:
+    """Raise GuardExceeded when [a] x [b] has more order ideals than the
+    guard allows. The count is the closed form C(a+b, a), so a grid can be
+    refused before it is built."""
+    cap = DEFAULT_ENUMERATION_GUARD if guard is None else guard
+    count = math.comb(a + b, a) if a > 0 and b > 0 else 0  # GridPoset rejects sizes < 1
+    if count > cap:
+        raise GuardExceeded(f"[{a}]x[{b}] has {count} ideals, over the guard of {cap}")
 
 
 class FinitePoset:
@@ -59,6 +76,7 @@ class FinitePoset:
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate elements in poset")
         n = len(self.elements)
+        self.full_mask = (1 << n) - 1
         self.up_covers = [0] * n
         self.down_covers = [0] * n
         for x, y in covers:
@@ -108,10 +126,6 @@ class FinitePoset:
         return len(self.elements)
 
     @property
-    def full_mask(self) -> int:
-        return (1 << len(self.elements)) - 1
-
-    @property
     def linear_extension(self) -> tuple:
         """The canonical (index-lex smallest) linear extension, as elements."""
         return tuple(self.elements[i] for i in self._extension)
@@ -127,8 +141,7 @@ class FinitePoset:
 
     def members(self, state) -> tuple:
         """Decode an ideal/antichain/raw mask into elements, in element order."""
-        mask = state.mask if isinstance(state, (OrderIdeal, Antichain)) else state
-        return tuple(self.elements[i] for i in iter_bits(mask))
+        return tuple(self.elements[i] for i in iter_bits(state))
 
     def leq(self, x, y) -> bool:
         """True when x <= y in the poset order."""
@@ -170,29 +183,27 @@ class FinitePoset:
 
         Accepts an Antichain, an OrderIdeal, or any iterable of elements.
         """
-        if isinstance(generators, (Antichain, OrderIdeal)):
-            gen_mask = generators.mask
-        else:
-            gen_mask = self.element_mask(generators)
+        if not isinstance(generators, (Antichain, OrderIdeal)):
+            generators = self.element_mask(generators)
         mask = 0
-        for i in iter_bits(gen_mask):
+        for i in iter_bits(generators):
             mask |= self.below[i]
         return OrderIdeal(mask)
 
     def maximal_elements(self, ideal: OrderIdeal) -> Antichain:
         """Maximal elements of an order ideal (the inverse of down_closure)."""
         mask = 0
-        for i in iter_bits(ideal.mask):
-            if not (self.up_covers[i] & ideal.mask):
+        for i in iter_bits(ideal):
+            if not (self.up_covers[i] & ideal):
                 mask |= 1 << i
         return Antichain(mask)
 
     def minimal_elements_of_complement(self, ideal: OrderIdeal) -> Antichain:
         """Minimal elements of the complement of an order ideal."""
         mask = 0
-        comp = self.full_mask & ~ideal.mask
+        comp = self.full_mask & ~ideal
         for i in iter_bits(comp):
-            if self.down_covers[i] & ~ideal.mask:
+            if self.down_covers[i] & ~ideal:
                 continue
             mask |= 1 << i
         return Antichain(mask)
@@ -265,21 +276,12 @@ class GridPoset(FinitePoset):
         super().__init__(elements, covers)
         self.a = a
         self.b = b
-        self._file_indices: dict[int, tuple[int, ...]] = {}
-        for f in range(1 - a, b):
-            pairs = [(k, l) for (k, l) in elements if l - k == f]
-            pairs.sort(key=self.rank)  # bottom to top within the file
-            self._file_indices[f] = tuple(self.index[p] for p in pairs)
-        ranks: dict[int, list[int]] = {}
-        for x in elements:
-            ranks.setdefault(self.rank(x), []).append(self.index[x])
-        self._rank_indices = {r: tuple(v) for r, v in ranks.items()}
         # masks for the kernels
-        self.full = self.full_mask
+        self._file_masks = {f: self.element_mask((k, k + f) for k in range(1, a + 1)
+                                                 if 1 <= k + f <= b) for f in self.files}
         self.col1 = self.element_mask(self.negative_fiber(1))
         self.lastcol = self.element_mask(self.negative_fiber(b))
         self.row1 = self.element_mask(self.positive_fiber(1))
-        self._file_masks = {f: sum(1 << i for i in v) for f, v in self._file_indices.items()}
         # down closure smear: column shifts by b, 2b, 4b, ..., then row shifts
         # by s = 1, 2, 4, ... keeping only destination columns below b - s,
         # where the shifted bit came from the same row
@@ -308,9 +310,8 @@ class GridPoset(FinitePoset):
             raise ValueError(f"file index {f} outside [{1 - self.a}, {self.b - 1}]")
 
     def file_members(self, f: int) -> tuple:
-        """Elements of file f, bottom to top."""
-        self._check_file(f)
-        return tuple(self.elements[i] for i in self._file_indices[f])
+        """Elements of file f, bottom to top (as element order lists them)."""
+        return self.members(self.file_mask(f))
 
     def file_mask(self, f: int) -> int:
         self._check_file(f)
@@ -347,11 +348,7 @@ class GridPoset(FinitePoset):
         all rows below it, so listing its lengths in ascending order over
         sorted lists of the rows below keeps the result sorted.
         """
-        cap = DEFAULT_ENUMERATION_GUARD if guard is None else guard
-        if self.ideal_count() > cap:
-            raise GuardExceeded(
-                f"[{self.a}]x[{self.b}] has {self.ideal_count()} ideals, over the guard of {cap}"
-            )
+        check_grid_guard(self.a, self.b, guard)
         b = self.b
         # below[r]: the sorted masks of the rows so far whose top row has length >= r
         below = [[0]] * (b + 1)
@@ -366,7 +363,7 @@ class GridPoset(FinitePoset):
     def down_closure(self, generators) -> OrderIdeal:
         if not isinstance(generators, (Antichain, OrderIdeal)):
             return super().down_closure(generators)
-        m = generators.mask
+        m = generators
         for s in self._column_shifts:
             m |= m >> s
         for s, keep in self._row_lanes:
@@ -374,11 +371,10 @@ class GridPoset(FinitePoset):
         return OrderIdeal(m)
 
     def maximal_elements(self, ideal: OrderIdeal) -> Antichain:
-        m = ideal.mask
-        return Antichain(m & ~((m >> 1) & ~self.lastcol) & ~(m >> self.b))
+        return Antichain(ideal & ~((ideal >> 1) & ~self.lastcol) & ~(ideal >> self.b))
 
     def minimal_elements_of_complement(self, ideal: OrderIdeal) -> Antichain:
-        m, full, col1 = ideal.mask, self.full, self.col1
+        m, full, col1 = ideal, self.full_mask, self.col1
         return Antichain(full & ~m & (((m << 1) & ~col1) | col1)
                          & (((m << self.b) & full) | self.row1))
 

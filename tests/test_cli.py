@@ -19,7 +19,7 @@ from homomesy.dynamics import (
     rowmotion_ideal,
 )
 from homomesy.engine import HomomesyReport, Statistic, orbit_average, orbit_partition
-from homomesy.posets import GridPoset
+from homomesy.posets import FinitePoset, GridPoset
 
 CYCLE4 = """1 2 1
 2 1 1
@@ -131,6 +131,17 @@ class TestCheck:
                              "--a", "2", "--b", "2", "--format", fmt)
         assert code == 0 and err == "" and "1,1" in out
 
+    def test_an_over_guard_grid_is_refused_before_it_is_built(self, capsys, monkeypatch):
+        def refuse(self, elements, covers):
+            raise AssertionError("a poset was built")
+
+        monkeypatch.setattr(FinitePoset, "__init__", refuse)
+        for system in ("grid-rowmotion-ideals", "grid-promotion-antichains"):
+            code, out, err = run(capsys, "check", system, "--a", "40", "--b", "40")
+            assert code == 3 and out == ""
+            assert err == ("guard exceeded: [40]x[40] has 107507208733336176461620 ideals, "
+                           "over the guard of 10000000\n")
+
     def test_missing_flags_exit_2(self, capsys):
         code, out, err = run(capsys, "check", "grid-rowmotion-ideals", "--a", "3")
         assert code == 2
@@ -239,6 +250,13 @@ class TestOrbits:
                              "--a", "2", "--b", "2", "--seed", "[[1,1],[2,2]]")
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["[[true,1]]", "[[2,false]]"])
+    def test_a_json_boolean_is_not_a_coordinate(self, capsys, seed):
+        code, out, err = run(capsys, "orbits", "grid-rowmotion-ideals",
+                             "--a", "2", "--b", "2", "--seed", seed)
+        assert code == 2 and out == ""
+        assert err == "error: seed must be a JSON list of [k,l] integer pairs\n"
+
     def test_bad_seed_json(self, capsys):
         code, out, err = run(capsys, "orbits", "grid-promotion-ideals",
                              "--a", "2", "--b", "2", "--seed", "oops")
@@ -342,6 +360,23 @@ def test_orbits_lists_the_orbits_that_check_reports(capsys, graph_file, system):
         listings[command] = json.loads(out)
     assert listings["orbits"]["orbits"] == listings["check"]["orbits"]
     assert "homomesic" not in listings["orbits"]
+
+
+FLAG_VALUES = {"a": "2", "b": "2", "n": "3", "k": "3", "graph": None}
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_every_system_rejects_the_flags_it_does_not_read(capsys, graph_file, system):
+    listed = [flag.split()[0] for flag in SYSTEMS[system][0]]
+    values = dict(FLAG_VALUES, graph=graph_file)
+    given = [arg for name in listed for arg in ("--" + name, values[name])]
+    extras = [name for name in FLAG_VALUES if name not in listed]
+    assert extras
+    for name in extras:
+        for command in ("check", "orbits"):
+            code, out, err = run(capsys, command, system, *given, "--" + name, values[name])
+            assert code == 2 and out == "", (command, name)
+            assert err == f"error: system {system!r} takes no --{name}\n"
 
 
 def test_sample_systems_cover_the_table():

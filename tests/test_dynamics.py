@@ -23,7 +23,7 @@ from homomesy.dynamics import (
     toggle,
 )
 from homomesy import dynamics
-from homomesy.posets import FinitePoset, GridPoset, OrderIdeal, iter_bits
+from homomesy.posets import Antichain, FinitePoset, GridPoset, OrderIdeal, iter_bits
 
 pm_word_strategy = st.lists(st.sampled_from([PLUS, MINUS]), max_size=14).map(tuple)
 
@@ -196,6 +196,19 @@ class TestGridKernelsMatchGeneric:
             assert promotion_antichain(grid, chain) == plain.maximal_elements(
                 reference_promotion_ideal(grid, plain.down_closure(chain)))
 
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (4, 4), (5, 2)])
+    def test_every_result_is_a_state_of_its_kind(self, a, b):
+        poset = GridPoset(a, b)
+        for ideal in poset.enumerate_order_ideals():
+            assert type(ideal) is OrderIdeal
+            for tau in (rowmotion_ideal, promotion_ideal, rowmotion_ideal_by_ranks,
+                        rowmotion_ideal_by_toggles):
+                assert type(tau(poset, ideal)) is OrderIdeal
+        for chain in poset.enumerate_antichains():
+            assert type(chain) is Antichain
+            for tau in (rowmotion_antichain, promotion_antichain):
+                assert type(tau(poset, chain)) is Antichain
+
     def test_promotion_never_toggles_one_element(self, monkeypatch):
         def refuse(poset, ideal, i):
             raise AssertionError("a single-element toggle ran")
@@ -206,7 +219,24 @@ class TestGridKernelsMatchGeneric:
             promotion_ideal(poset, ideal)
 
 
+def reference_height_values(poset, ideal):
+    """Heights by decoding the ideal's pairs and counting them per file."""
+    counts = {f: 0 for f in poset.files}
+    for k, l in poset.members(ideal):
+        counts[l - k] += 1
+    return tuple(abs(k) + 2 * counts.get(k, 0) for k in range(-poset.a, poset.b + 1))
+
+
 class TestHeightFunction:
+    @pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 7) for b in range(1, 7)])
+    def test_matches_the_pair_counting_loop(self, a, b):
+        poset = GridPoset(a, b)
+        for ideal in poset.enumerate_order_ideals():
+            h = height_function(poset, ideal)
+            assert h.values == reference_height_values(poset, ideal)
+            assert ideal_from_sign_word(poset, sign_word(poset, ideal)) == ideal
+
+
     def test_paper_conventions(self):
         poset = GridPoset(3, 2)
         h = height_function(poset, OrderIdeal(0))

@@ -52,6 +52,36 @@ def test_state_wrappers_compare_by_mask():
     assert hash(Antichain(5)) == hash(Antichain(5))
 
 
+class TestStateContract:
+    """A state is the int it stores: it equals its mask and hashes like it."""
+
+    @pytest.mark.parametrize("cls", [OrderIdeal, Antichain])
+    @pytest.mark.parametrize("m", [0, 1, 5, 0b1011, 1 << 80])
+    def test_a_state_is_its_mask(self, cls, m):
+        state = cls(m)
+        assert state == m and hash(state) == hash(m)
+        assert type(state.mask) is int and state.mask == m
+        assert len(state) == bin(m).count("1")
+        assert repr(state) == f"{cls.__name__}(mask={m})"
+
+    def test_kinds_with_one_mask_are_equal(self):
+        assert OrderIdeal(5) == Antichain(5) == 5
+        assert len({OrderIdeal(5), Antichain(5), 5}) == 1
+
+    def test_bit_operations_return_plain_ints(self):
+        for value in (OrderIdeal(6) & 3, OrderIdeal(6) | 1, ~Antichain(6), Antichain(6) >> 1):
+            assert type(value) is int
+        assert OrderIdeal(6) & 3 == 2
+
+    def test_a_list_of_states_sorts_by_mask(self):
+        masks = [9, 0, 4, 7, 2]
+        assert [s.mask for s in sorted(OrderIdeal(m) for m in masks)] == sorted(masks)
+
+    def test_states_carry_no_attributes(self):
+        with pytest.raises(AttributeError):
+            OrderIdeal(3).extra = 1
+
+
 class TestConstruction:
     def test_duplicate_elements_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -216,6 +246,15 @@ class TestGridPoset:
             assert ranks == sorted(ranks)
             seen.extend(members)
         assert sorted(seen) == sorted(poset.elements)
+
+    @pytest.mark.parametrize("a,b", GRID_SIZES)
+    def test_file_members_match_the_rank_sorted_construction(self, a, b):
+        poset = GridPoset(a, b)
+        for f in poset.files:
+            # the construction the file tables were built with before they became masks
+            pairs = sorted((x for x in poset.elements if x[1] - x[0] == f), key=poset.rank)
+            assert poset.file_members(f) == tuple(pairs)
+            assert poset.file_mask(f) == poset.element_mask(pairs)
 
     def test_file_mask(self):
         poset = GridPoset(2, 2)

@@ -88,6 +88,35 @@ class TestBenderKnuth:
                 assert flat.count(i + 1) == old.count(i)
 
 
+def reference_rect_tableaux(nrows, ncols, ceiling):
+    """Row-major recursive backtracking with no cap on an entry but the
+    ceiling: one recursion level per cell, and branches that dead-end."""
+    grid = [[0] * ncols for _ in range(nrows)]
+    found = []
+
+    def fill(pos):
+        if pos == nrows * ncols:
+            found.append(SSYT(ceiling, tuple(tuple(row) for row in grid)))
+            return
+        r, c = divmod(pos, ncols)
+        low = 1
+        if c > 0:
+            low = max(low, grid[r][c - 1])
+        if r > 0:
+            low = max(low, grid[r - 1][c] + 1)
+        for value in range(low, ceiling + 1):
+            grid[r][c] = value
+            fill(pos + 1)
+        grid[r][c] = 0
+
+    fill(0)
+    return found
+
+
+ENUMERATION_SHAPES = ([(r, c, k) for r in range(1, 4) for c in range(1, 4) for k in range(1, 6)]
+                      + [(1, 6, 3), (4, 2, 5), (3, 4, 6), (2, 5, 4)])
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("ceiling,count", [(2, 1), (3, 6), (4, 20), (5, 50)])
     def test_counts_2_by_2(self, ceiling, count):
@@ -108,6 +137,24 @@ class TestEnumeration:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             rect_tableaux(2, 3, 5, guard=100)
+
+    @pytest.mark.parametrize("nrows,ncols,ceiling", ENUMERATION_SHAPES)
+    def test_matches_the_recursive_backtracking(self, nrows, ncols, ceiling):
+        assert rect_tableaux(nrows, ncols, ceiling) == reference_rect_tableaux(
+            nrows, ncols, ceiling)
+
+    def test_a_square_with_ceiling_equal_to_its_rows_has_one_tableau(self):
+        # with ceiling = rows each column reads 1..7, and the row caps leave no other branch
+        (t,) = rect_tableaux(7, 7, 7)
+        assert t.rows == tuple((r,) * 7 for r in range(1, 8))
+
+    def test_a_long_row_needs_no_recursion(self, capsys):
+        from homomesy.cli import main
+
+        assert main(["check", "ssyt", "--a", "1", "--b", "1200", "--k", "2"]) == 0
+        captured = capsys.readouterr()
+        assert '"states": 1201}' in captured.out and "homomesic: yes" in captured.out
+        assert captured.err == ""
 
 
 class TestPromotion:
