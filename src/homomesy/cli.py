@@ -360,8 +360,9 @@ def _orbit_table(bundle, summaries, footer_lines):
     rows = [(idx, s.period, _fmt_average(s.average), bundle.to_text(s.representative))
             for idx, s in enumerate(summaries, start=1)]
     titles = ("orbit", "period", "average", "representative")
+    # the last column is not padded, so no line ends in spaces
     widths = [max(len(t), *(len(str(row[i])) for row in rows))
-              for i, t in enumerate(titles)]
+              for i, t in enumerate(titles[:-1])] + [0]
     yield "  ".join(t.ljust(w) for t, w in zip(titles, widths))
     for row in rows:
         yield "  ".join(str(v).ljust(w) for v, w in zip(row, widths))

@@ -4,9 +4,9 @@ Works over any finite invertible dynamical system whose states are
 hashable and mutually comparable (the smallest state of an orbit is its
 canonical representative). A statistic value is an int or a Fraction;
 anything else, a float included, raises. Check, decomposition and subspace
-all average through summarize_orbits: orbit sums stay exact ints (or
+all average through orbit_average: orbit sums stay exact ints (or
 Fractions) and each orbit component costs one Fraction division. The
-subspace search takes the kernel of the orbit-average differences by
+subspace search takes the kernel of the rows (-1, orbit average) by
 fraction-free integer elimination and makes Fractions only for the result.
 """
 from __future__ import annotations
@@ -236,8 +236,10 @@ def homomesic_subspace(tau: Callable, space, basis, guard: int | None = None):
 
     basis is a sequence of scalar statistics whose fn returns a bare int or
     Fraction: the fn values are stacked into one vector statistic and checked
-    once there, so a 1-tuple raises TypeError. The kernel of the matrix of
-    orbit-average differences is returned as a canonically reduced list of
+    once there, so a 1-tuple raises TypeError. The combination is t-mesic
+    exactly when avg_o . c - t = 0 on every orbit o, so the pairs (t, c)
+    are the kernel of the rows (-1, *avg_o); t comes first, where it is
+    always a pivot, and is dropped. The result is a canonically reduced list of
     Fraction tuples (one per basis vector of the subspace).
     """
     basis = list(basis)
@@ -246,9 +248,11 @@ def homomesic_subspace(tau: Callable, space, basis, guard: int | None = None):
     if any(b.dimension != 1 for b in basis):
         raise ValueError("subspace search requires scalar statistics")
     stacked = Statistic("basis", len(basis), lambda s: [b.fn(s) for b in basis])
-    first, *rest = summarize_orbits(orbit_partition(tau, space, guard), stacked).orbit_summaries
-    rows = [[v - r for v, r in zip(summary.average, first.average)] for summary in rest]
-    return rational_nullspace(rows, num_columns=len(basis))
+    orbits = orbit_partition(tau, space, guard)
+    if not orbits:
+        raise ValueError("cannot check homomesy on an empty state space")
+    rows = [(-1, *orbit_average(stacked, o)) for o in orbits]
+    return [vec[1:] for vec in rational_nullspace(rows, num_columns=len(basis) + 1)]
 
 
 # -- exact linear algebra -----------------------------------------------------

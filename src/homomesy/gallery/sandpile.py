@@ -6,7 +6,9 @@ and stabilizes; its cycle states are the recurrent configurations, and the
 per-vertex firing count of that step is homomesic with constant vector
 f* solving L' f* = 1_source (L' the reduced Laplacian). `sandpile_tau` and
 the firing statistic validate a configuration once, then share one grain
-drop, whose `sandpile_stabilize` validates again.
+drop, whose `sandpile_stabilize` validates again; a grain count that is not
+an int is refused, not truncated. The stable configurations are refused
+over the guard from the product of the out-degrees.
 
 Graph text format (see SandpileGraph.from_text): one directed edge bundle
 per line as "v w count", plus the headers "sink t" and "source s". Vertex
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product as iter_product
+from math import prod
 
 from ..engine import Statistic, rational_solve
-from ..guards import DEFAULT_ENUMERATION_GUARD, DEFAULT_ORBIT_GUARD, GuardExceeded
+from ..guards import DEFAULT_ORBIT_GUARD, GuardExceeded, check_space_size
 
 
 class SandpileGraph:
@@ -121,12 +124,12 @@ class SandpileGraph:
         return tuple(1 if v == self.source else 0 for v in self.nonsink)
 
     def validate_config(self, config) -> tuple[int, ...]:
-        config = tuple(int(g) for g in config)
+        config = tuple(config)
         if len(config) != len(self.nonsink):
             raise ValueError(
                 f"configuration needs {len(self.nonsink)} entries, got {len(config)}"
             )
-        if any(g < 0 for g in config):
+        if not all(type(g) is int and g >= 0 for g in config):  # no float, no bool
             raise ValueError("grain counts must be nonnegative")
         return config
 
@@ -186,12 +189,7 @@ def sandpile_tau(graph: SandpileGraph, config, guard: int | None = None):
 
 
 def stable_configurations(graph: SandpileGraph, guard: int | None = None):
-    cap = DEFAULT_ENUMERATION_GUARD if guard is None else guard
-    total = 1
-    for v in graph.nonsink:
-        total *= graph.out_degree[v]
-        if total > cap:
-            raise GuardExceeded(f"stable configuration count exceeds the guard of {cap}")
+    check_space_size("the graph", prod(graph._degree), "stable configurations", guard)
     return [tuple(c) for c in iter_product(*map(range, graph._degree))]
 
 

@@ -6,15 +6,18 @@ then BK_2, ..., finally BK_{k-1}; with that pinned order, promotion on an
 m x n rectangle has order dividing k, and for any cell set R that is
 invariant under 180-degree rotation of the rectangle the entry sum over R
 is |R|(k+1)/2-mesic. Each `SSYT` is checked once, when it is built: at
-enumeration, seed parsing, and once per promotion (not per involution).
+enumeration, seed parsing, and once per promotion (not per involution);
+an entry that is not an int is refused, not truncated. `rect_tableaux`
+meets its guard from the hook-content count before it builds a tableau.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from ..engine import Statistic
-from ..guards import DEFAULT_ENUMERATION_GUARD, GuardExceeded
+from ..guards import check_space_size
 
 
 @dataclass(frozen=True, order=True)
@@ -25,7 +28,7 @@ class SSYT:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
         if self.ceiling < 1:
             raise ValueError("entry ceiling must be at least 1")
@@ -35,7 +38,7 @@ class SSYT:
         if any(len(row) != width for row in rows):
             raise ValueError("tableau rows must all have the same length")
         for row in rows:
-            if any(v < 1 or v > self.ceiling for v in row):
+            if not all(type(v) is int and 1 <= v <= self.ceiling for v in row):
                 raise ValueError("entries must lie in 1..ceiling")
             if any(row[c] > row[c + 1] for c in range(width - 1)):
                 raise ValueError("rows must weakly increase")
@@ -107,7 +110,11 @@ def rect_tableaux(nrows: int, ncols: int, ceiling: int,
         raise ValueError("rectangle dimensions must be at least 1")
     if ceiling < 1:
         raise ValueError("entry ceiling must be at least 1")
-    cap = DEFAULT_ENUMERATION_GUARD if guard is None else guard
+    lo, mid, hi = sorted((nrows, ncols, ceiling - nrows))
+    count = int(lo >= 0)  # hook-content formula as MacMahon's boxed plane partitions
+    for i in range(1, lo + 1):
+        count = count * comb(i + mid + hi - 1, mid) // comb(i + mid - 1, mid)
+    check_space_size(f"the {nrows} x {ncols} box with ceiling {ceiling}", count, "tableaux", guard)
     ncells = nrows * ncols
     top = [ceiling - (nrows - 1 - r) for r in range(nrows)]
     cells = [0] * ncells  # the entries so far; the walk's stack is cells[:pos]
@@ -115,8 +122,6 @@ def rect_tableaux(nrows: int, ncols: int, ceiling: int,
     pos = 0 if ceiling >= nrows else -1
     while pos >= 0:
         if pos == ncells:
-            if len(found) >= cap:
-                raise GuardExceeded(f"tableau count exceeds the guard of {cap}")
             found.append(SSYT(ceiling, [cells[i:i + ncols] for i in range(0, ncells, ncols)]))
             pos -= 1
             continue
@@ -134,8 +139,14 @@ def rect_tableaux(nrows: int, ncols: int, ceiling: int,
 
 
 def cell_sum_statistic(cells, name: str | None = None) -> Statistic:
-    """Entry sum over a fixed set of 1-indexed (row, column) cells."""
-    cells = tuple(sorted(set((int(r), int(c)) for r, c in cells)))
+    """Entry sum over a fixed set of 1-indexed (row, column) cells, read
+    straight from the rows; a cell outside the tableau raises entry's
+    ValueError."""
+    cells = [(r, c) for r, c in cells]
+    if not all(type(r) is int and type(c) is int and r >= 1 and c >= 1 for r, c in cells):
+        raise ValueError(f"cells are 1-indexed int pairs, got {cells}")
+    cells = tuple(sorted(set(cells)))
+    index = [(r - 1, c - 1) for r, c in cells]
     if name is not None:
         label = name
     elif cells:
@@ -144,7 +155,13 @@ def cell_sum_statistic(cells, name: str | None = None) -> Statistic:
         label = "cells:none"
 
     def value(tableau: SSYT) -> int:
-        return sum(tableau.entry(r, c) for r, c in cells)
+        rows = tableau.rows
+        try:
+            return sum(rows[r][c] for r, c in index)
+        except IndexError:
+            for r, c in cells:
+                tableau.entry(r, c)  # raises for the first cell outside
+            raise
 
     return Statistic.scalar(label, value)
 

@@ -15,7 +15,7 @@ per `suter_rho` step; the weight statistics read rows without a check.
 from __future__ import annotations
 
 from ..engine import Statistic
-from ..guards import DEFAULT_ENUMERATION_GUARD, GuardExceeded
+from ..guards import check_space_size
 
 Partition = tuple
 
@@ -42,9 +42,7 @@ def staircase_diagrams(n: int, guard: int | None = None) -> list[Partition]:
     """All 2^(n-1) members of Y_n, sorted."""
     if n < 1:
         raise ValueError("need n >= 1")
-    cap = DEFAULT_ENUMERATION_GUARD if guard is None else guard
-    if 2 ** (n - 1) > cap:
-        raise GuardExceeded(f"|Y_{n}| = 2^{n - 1} exceeds the guard of {cap}")
+    check_space_size(f"Y_{n}", 2 ** (n - 1), "diagrams", guard)
     out = [()]
     stack = [(p,) for p in range(1, n)]
     while stack:

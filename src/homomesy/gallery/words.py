@@ -6,16 +6,14 @@ from itertools import combinations, permutations
 
 from ..dynamics import MINUS, PLUS, cyclic_shift
 from ..engine import Statistic
-from ..guards import DEFAULT_ENUMERATION_GUARD, GuardExceeded
+from ..guards import check_space_size
 
 
 def pm_words(a: int, b: int, guard: int | None = None) -> list[tuple[int, ...]]:
     """All words with a copies of -1 and b copies of +1."""
     if a < 0 or b < 0 or a + b == 0:
         raise ValueError("need a, b >= 0 with at least one letter")
-    cap = DEFAULT_ENUMERATION_GUARD if guard is None else guard
-    if math.comb(a + b, a) > cap:
-        raise GuardExceeded(f"{math.comb(a + b, a)} words exceed the guard of {cap}")
+    check_space_size(f"the {a}-minus {b}-plus space", math.comb(a + b, a), "words", guard)
     n = a + b
     out = []
     for minus_positions in combinations(range(n), a):
@@ -89,8 +87,6 @@ def reversal_inversions_system(n: int, guard: int | None = None):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    cap = DEFAULT_ENUMERATION_GUARD if guard is None else guard
-    if math.factorial(n) > cap:
-        raise GuardExceeded(f"{n}! permutations exceed the guard of {cap}")
+    check_space_size(f"S_{n}", math.factorial(n), "permutations", guard)
     space = [tuple(p) for p in permutations(range(1, n + 1))]
     return space, reversal, Statistic.scalar("inversions", inversions)

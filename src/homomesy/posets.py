@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .guards import DEFAULT_ENUMERATION_GUARD, GuardExceeded
+from .guards import DEFAULT_ENUMERATION_GUARD, GuardExceeded, check_space_size
 
 
 def iter_bits(mask: int):
@@ -50,13 +50,9 @@ class Antichain(_MaskState):
 
 
 def check_grid_guard(a: int, b: int, guard: int | None = None) -> None:
-    """Raise GuardExceeded when [a] x [b] has more order ideals than the
-    guard allows. The count is the closed form C(a+b, a), so a grid can be
-    refused before it is built."""
-    cap = DEFAULT_ENUMERATION_GUARD if guard is None else guard
+    """Refuse [a] x [b] from its C(a+b, a) order ideals before it is built."""
     count = math.comb(a + b, a) if a > 0 and b > 0 else 0  # GridPoset rejects sizes < 1
-    if count > cap:
-        raise GuardExceeded(f"[{a}]x[{b}] has {count} ideals, over the guard of {cap}")
+    check_space_size(f"[{a}]x[{b}]", count, "ideals", guard)
 
 
 class FinitePoset:

@@ -362,6 +362,16 @@ def test_orbits_lists_the_orbits_that_check_reports(capsys, graph_file, system):
     assert "homomesic" not in listings["orbits"]
 
 
+@pytest.mark.parametrize("system", SAMPLE_SYSTEMS, ids=lambda argv: argv[0])
+def test_no_table_line_ends_in_a_space(capsys, graph_file, system):
+    argv = system + (("--graph", graph_file) if system[0] == "sandpile" else ())
+    for command in ("orbits", "check"):
+        code, out, err = run(capsys, command, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines and all(line == line.rstrip() for line in lines), command
+
+
 FLAG_VALUES = {"a": "2", "b": "2", "n": "3", "k": "3", "graph": None}
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from homomesy import engine
 from homomesy.cli import SYSTEMS, build_bundle, build_parser
 from homomesy.engine import (
     Orbit,
@@ -224,6 +225,21 @@ class TestHomomesicSubspace:
         basis = [Statistic.scalar("boxed", lambda x: (x,))]
         with pytest.raises(TypeError, match="tuple"):
             homomesic_subspace(swap_pairs, range(4), basis)
+
+    def test_empty_space_rejected(self):
+        basis = [Statistic.scalar("e0", lambda x: x)]
+        with pytest.raises(ValueError, match="empty state space"):
+            homomesic_subspace(swap_pairs, [], basis)
+
+    def test_rows_come_from_the_orbit_averages_alone(self, monkeypatch):
+        # no verdict, global average or difference rows: only orbit_average
+        def refuse(*args, **kwargs):
+            raise AssertionError("summarize_orbits ran")
+
+        monkeypatch.setattr(engine, "summarize_orbits", refuse)
+        basis = [Statistic.scalar(f"e{i}", lambda x, i=i: 1 if x == i else 0)
+                 for i in range(4)]
+        assert len(homomesic_subspace(swap_pairs, range(4), basis)) == 3
 
     def test_one_statistic_call_per_state(self, monkeypatch):
         calls = []

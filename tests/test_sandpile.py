@@ -110,6 +110,15 @@ class TestGraphConstruction:
         assert cycle4.is_stable((1, 1, 1))
         assert not cycle4.is_stable((2, 0, 0))
 
+    @pytest.mark.parametrize("config", [(1.9, 0, True), (1, 0, True), (1.0, 0, 1),
+                                        ("1", 0, 1), (1, 0, -1)])
+    def test_non_integer_grains_are_refused_not_truncated(self, cycle4, config):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cycle4.validate_config(config)
+
+    def test_a_valid_config_comes_back_as_a_tuple(self, cycle4):
+        assert cycle4.validate_config([1, 0, 1]) == (1, 0, 1)
+
 
 class TestStabilization:
     def test_already_stable_is_untouched(self, cycle4):

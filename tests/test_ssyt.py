@@ -52,6 +52,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             t.entry(2, 1)
 
+    @pytest.mark.parametrize("rows", [[[1.5, 2.9]], [[1, 2.0]], [[True, 2]], [["1", "2"]]])
+    def test_non_integer_entries_are_refused_not_truncated(self, rows):
+        with pytest.raises(ValueError, match="1..ceiling"):
+            SSYT(3, rows)
+
+    def test_rows_are_stored_as_tuples(self):
+        assert SSYT(3, [[1, 2], [2, 3]]).rows == ((1, 2), (2, 3))
+
 
 class TestBenderKnuth:
     def test_index_range(self):
@@ -190,6 +198,24 @@ class TestCellStatistics:
         stat = cell_sum_statistic([(1, 1), (2, 3)])
         assert stat.name == "cells:1,1;2,3"
         assert stat(T(4, (1, 1, 2), (2, 3, 4)))[0] == 5
+
+    def test_cells_are_read_from_the_rows(self, monkeypatch):
+        def refuse(self, r, c):
+            raise AssertionError("entry was called")
+
+        stat = cell_sum_statistic([(1, 1), (2, 3)])
+        monkeypatch.setattr(SSYT, "entry", refuse)
+        assert stat(T(4, (1, 1, 2), (2, 3, 4))) == (5,)
+
+    def test_a_cell_outside_the_tableau_is_named(self):
+        stat = cell_sum_statistic([(1, 1), (1, 3), (3, 1)])
+        with pytest.raises(ValueError, match=r"cell \(1, 3\) outside the 2 x 2 rectangle"):
+            stat(T(4, (1, 2), (3, 4)))
+
+    @pytest.mark.parametrize("cell", [(0, 1), (1, 0), (-1, 2), (1.5, 1), (1, True), ("1", 1)])
+    def test_cells_below_1_are_refused_when_the_statistic_is_built(self, cell):
+        with pytest.raises(ValueError, match="1-indexed"):
+            cell_sum_statistic([(1, 1), cell])
 
     def test_custom_name_and_empty_set(self):
         assert cell_sum_statistic([], name="nothing").name == "nothing"
