@@ -499,12 +499,9 @@ def run_subspace(args) -> int:
         raise UsageError("'subspace' is available for the grid systems only")
     bundle = build_bundle(args)
     poset, elements = bundle.poset, bundle.poset.elements
-    basis = [
-        Statistic.scalar(f"indicator[{k},{l}]",
-                         (lambda i: lambda s: s >> i & 1)(poset.index[(k, l)]))
-        for (k, l) in elements
-    ]
-    vectors = homomesic_subspace(bundle.tau, bundle.space, basis, args.guard)
+    bits = range(len(elements))  # element i is bit i of the mask
+    indicators = Statistic("indicators", len(bits), lambda s: [s >> i & 1 for i in bits])
+    vectors = homomesic_subspace(bundle.tau, bundle.space, indicators, args.guard)
     checked = [(name, in_reduced_span(coeffs, vectors))
                for name, coeffs in _named_generators(poset, args.system.endswith("-ideals"))]
     def doc():

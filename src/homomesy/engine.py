@@ -231,28 +231,22 @@ def invariant_homomesic_decomposition(tau: Callable, space, statistic: Statistic
     return f_mean, f_centered
 
 
-def homomesic_subspace(tau: Callable, space, basis, guard: int | None = None):
-    """Coefficient vectors c with sum(c_j * basis_j) homomesic.
+def homomesic_subspace(tau: Callable, space, statistic: Statistic,
+                       guard: int | None = None):
+    """Coefficient vectors c with sum(c_j * statistic_j) homomesic.
 
-    basis is a sequence of scalar statistics whose fn returns a bare int or
-    Fraction: the fn values are stacked into one vector statistic and checked
-    once there, so a 1-tuple raises TypeError. The combination is t-mesic
-    exactly when avg_o . c - t = 0 on every orbit o, so the pairs (t, c)
-    are the kernel of the rows (-1, *avg_o); t comes first, where it is
-    always a pivot, and is dropped. The result is a canonically reduced list of
-    Fraction tuples (one per basis vector of the subspace).
+    Each component of the vector statistic is one basis function. The
+    combination is t-mesic exactly when avg_o . c - t = 0 on every orbit o,
+    so the pairs (t, c) are the kernel of the rows (-1, *avg_o); t comes
+    first, where it is always a pivot, and is dropped. The result is a
+    canonically reduced list of Fraction tuples (one per basis vector of the
+    subspace).
     """
-    basis = list(basis)
-    if not basis:
-        raise ValueError("basis must contain at least one statistic")
-    if any(b.dimension != 1 for b in basis):
-        raise ValueError("subspace search requires scalar statistics")
-    stacked = Statistic("basis", len(basis), lambda s: [b.fn(s) for b in basis])
     orbits = orbit_partition(tau, space, guard)
     if not orbits:
         raise ValueError("cannot check homomesy on an empty state space")
-    rows = [(-1, *orbit_average(stacked, o)) for o in orbits]
-    return [vec[1:] for vec in rational_nullspace(rows, num_columns=len(basis) + 1)]
+    rows = [(-1, *orbit_average(statistic, o)) for o in orbits]
+    return [vec[1:] for vec in rational_nullspace(rows, num_columns=statistic.dimension + 1)]
 
 
 # -- exact linear algebra -----------------------------------------------------

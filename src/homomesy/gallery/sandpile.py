@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product as iter_product
-from math import prod
 
 from ..engine import Statistic, rational_solve
-from ..guards import DEFAULT_ORBIT_GUARD, GuardExceeded, check_space_size
+from ..guards import DEFAULT_ORBIT_GUARD, GuardExceeded, check_space_size, product_factors
 
 
 class SandpileGraph:
@@ -182,14 +181,14 @@ def _drop_grain(graph: SandpileGraph, config: tuple, guard: int | None):
 
 def sandpile_tau(graph: SandpileGraph, config, guard: int | None = None):
     """Drop one grain on the source of a stable configuration and stabilize."""
-    config = graph.validate_config(config)
-    if any(g >= d for g, d in zip(config, graph._degree)):
+    config = tuple(config)
+    if not graph.is_stable(config):
         raise ValueError("the one-step dynamic acts on stable configurations")
     return _drop_grain(graph, config, guard)[0]
 
 
 def stable_configurations(graph: SandpileGraph, guard: int | None = None):
-    check_space_size("the graph", prod(graph._degree), "stable configurations", guard)
+    check_space_size("the graph", product_factors(graph._degree), "stable configurations", guard)
     return [tuple(c) for c in iter_product(*map(range, graph._degree))]
 
 

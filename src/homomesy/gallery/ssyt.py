@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from ..engine import Statistic
-from ..guards import check_space_size
+from ..guards import check_space_size, macmahon_factors
 
 
 @dataclass(frozen=True, order=True)
@@ -110,11 +109,9 @@ def rect_tableaux(nrows: int, ncols: int, ceiling: int,
         raise ValueError("rectangle dimensions must be at least 1")
     if ceiling < 1:
         raise ValueError("entry ceiling must be at least 1")
-    lo, mid, hi = sorted((nrows, ncols, ceiling - nrows))
-    count = int(lo >= 0)  # hook-content formula as MacMahon's boxed plane partitions
-    for i in range(1, lo + 1):
-        count = count * comb(i + mid + hi - 1, mid) // comb(i + mid - 1, mid)
-    check_space_size(f"the {nrows} x {ncols} box with ceiling {ceiling}", count, "tableaux", guard)
+    # the hook-content formula as MacMahon's plane partitions in a box
+    size = macmahon_factors(nrows, ncols, ceiling - nrows) if ceiling >= nrows else 0
+    check_space_size(f"the {nrows} x {ncols} box with ceiling {ceiling}", size, "tableaux", guard)
     ncells = nrows * ncols
     top = [ceiling - (nrows - 1 - r) for r in range(nrows)]
     cells = [0] * ncells  # the entries so far; the walk's stack is cells[:pos]
@@ -164,18 +161,6 @@ def cell_sum_statistic(cells, name: str | None = None) -> Statistic:
             raise
 
     return Statistic.scalar(label, value)
-
-
-def promotion_orbit_sums(tableau: SSYT, cells):
-    """sigma_R along the promotion orbit of one tableau (diagnostic helper)."""
-    stat = cell_sum_statistic(cells)
-    sums = []
-    current = tableau
-    while True:
-        sums.append(stat(current)[0])
-        current = ssyt_promotion(current)
-        if current == tableau:
-            return tuple(sums)
 
 
 def all_cells(nrows: int, ncols: int) -> tuple[tuple[int, int], ...]:

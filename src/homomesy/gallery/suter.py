@@ -1,7 +1,9 @@
-"""Suter's cyclic symmetry on the Young diagrams inside a staircase.
+"""Suter's cyclic symmetry on the Young diagrams of Y_n.
 
-Y_n is the set of partitions lambda with lambda_1 + (number of parts) <= n,
-i.e. the diagrams fitting in the staircase (n-1, n-2, ..., 1). Suter's map
+Y_n is the set of partitions lambda with lambda_1 + (number of parts) <= n;
+it has 2^(n-1) members. It is not the set of diagrams inside the staircase
+(n-1, n-2, ..., 1), which has Catalan(n) members: (2, 1) fits that staircase
+for n = 3 but is not in Y_3. Suter's map
 
     rho_n(lambda) = (lambda_2 + 1, ..., lambda_m + 1, 1, 1, ..., 1)
 
@@ -10,12 +12,13 @@ row r, column c (1-indexed) carries weight n - r - c + 1; the total weight
 is (n^3 - n)/12-mesic, and for i + j = n the sum of the weight-i diagonal
 plus the weight-j diagonal is ij-mesic (for i = j that diagonal counts
 twice). Membership in Y_n is checked at enumeration, seed parsing and once
-per `suter_rho` step; the weight statistics read rows without a check.
+per `suter_rho` step; a part that is not an int is refused, not truncated.
+The weight statistics read rows without a check.
 """
 from __future__ import annotations
 
 from ..engine import Statistic
-from ..guards import check_space_size
+from ..guards import check_space_size, power_factors
 
 Partition = tuple
 
@@ -24,7 +27,7 @@ def is_staircase_member(n: int, diagram) -> bool:
     diagram = tuple(diagram)
     if not diagram:
         return True
-    if any(int(p) != p or p < 1 for p in diagram):
+    if not all(type(p) is int and p >= 1 for p in diagram):  # no float, bool or str
         return False
     if any(diagram[i] < diagram[i + 1] for i in range(len(diagram) - 1)):
         return False
@@ -32,7 +35,7 @@ def is_staircase_member(n: int, diagram) -> bool:
 
 
 def _require_member(n: int, diagram) -> tuple:
-    diagram = tuple(int(p) for p in diagram)
+    diagram = tuple(diagram)
     if not is_staircase_member(n, diagram):
         raise ValueError(f"{diagram} does not fit in the staircase for n = {n}")
     return diagram
@@ -42,7 +45,7 @@ def staircase_diagrams(n: int, guard: int | None = None) -> list[Partition]:
     """All 2^(n-1) members of Y_n, sorted."""
     if n < 1:
         raise ValueError("need n >= 1")
-    check_space_size(f"Y_{n}", 2 ** (n - 1), "diagrams", guard)
+    check_space_size(f"Y_{n}", power_factors(2, n - 1), "diagrams", guard)
     out = [()]
     stack = [(p,) for p in range(1, n)]
     while stack:

@@ -1,19 +1,18 @@
 """Word systems: reversal on permutations, cyclic rotation on +/- words."""
 from __future__ import annotations
 
-import math
 from itertools import combinations, permutations
 
 from ..dynamics import MINUS, PLUS, cyclic_shift
 from ..engine import Statistic
-from ..guards import check_space_size
+from ..guards import binomial_factors, check_space_size, factorial_factors
 
 
 def pm_words(a: int, b: int, guard: int | None = None) -> list[tuple[int, ...]]:
     """All words with a copies of -1 and b copies of +1."""
     if a < 0 or b < 0 or a + b == 0:
         raise ValueError("need a, b >= 0 with at least one letter")
-    check_space_size(f"the {a}-minus {b}-plus space", math.comb(a + b, a), "words", guard)
+    check_space_size(f"the {a}-minus {b}-plus space", binomial_factors(a, b), "words", guard)
     n = a + b
     out = []
     for minus_positions in combinations(range(n), a):
@@ -87,6 +86,6 @@ def reversal_inversions_system(n: int, guard: int | None = None):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    check_space_size(f"S_{n}", math.factorial(n), "permutations", guard)
+    check_space_size(f"S_{n}", factorial_factors(n), "permutations", guard)
     space = [tuple(p) for p in permutations(range(1, n + 1))]
     return space, reversal, Statistic.scalar("inversions", inversions)

@@ -9,9 +9,8 @@ is pure: no method mutates a state.
 from __future__ import annotations
 
 import heapq
-import math
 
-from .guards import DEFAULT_ENUMERATION_GUARD, GuardExceeded, check_space_size
+from .guards import DEFAULT_ENUMERATION_GUARD, GuardExceeded, binomial_factors, check_space_size
 
 
 def iter_bits(mask: int):
@@ -51,8 +50,8 @@ class Antichain(_MaskState):
 
 def check_grid_guard(a: int, b: int, guard: int | None = None) -> None:
     """Refuse [a] x [b] from its C(a+b, a) order ideals before it is built."""
-    count = math.comb(a + b, a) if a > 0 and b > 0 else 0  # GridPoset rejects sizes < 1
-    check_space_size(f"[{a}]x[{b}]", count, "ideals", guard)
+    size = binomial_factors(a, b) if a > 0 and b > 0 else 0  # GridPoset rejects sizes < 1
+    check_space_size(f"[{a}]x[{b}]", size, "ideals", guard)
 
 
 class FinitePoset:
@@ -331,9 +330,6 @@ class GridPoset(FinitePoset):
             raise ValueError(f"{x!r} is not an element of this poset")
         k, l = x
         return (self.a + 1 - k, self.b + 1 - l)
-
-    def ideal_count(self) -> int:
-        return math.comb(self.a + self.b, self.a)
 
     def enumerate_order_ideals(self, guard: int | None = None) -> list[OrderIdeal]:
         """All order ideals, sorted by ascending mask value.

@@ -350,11 +350,8 @@ def test_criterion_12_homomesic_subspace():
             for b in range(1, 5):
                 poset = GridPoset(a, b)
                 elements = poset.elements
-                indicators = [
-                    Statistic.scalar(
-                        f"e{idx}", (lambda i: lambda s: s.mask >> i & 1)(idx))
-                    for idx in range(len(elements))
-                ]
+                n = len(elements)
+                indicators = Statistic("e", n, lambda s: [s.mask >> i & 1 for i in range(n)])
 
                 ideal_vectors = homomesic_subspace(
                     lambda s: rowmotion_ideal(poset, s),

@@ -191,16 +191,18 @@ class TestDecomposition:
             assert report.homomesic and report.c != (Fraction(0),)
 
 
+def indicators(n):
+    """One vector statistic whose component i is the indicator of state i."""
+    return Statistic("e", n, lambda x: [1 if x == i else 0 for i in range(n)])
+
+
 class TestHomomesicSubspace:
     def test_single_orbit_gives_everything(self):
-        basis = [Statistic.scalar(f"e{i}", lambda x, i=i: 1 if x == i else 0)
-                 for i in range(4)]
-        vectors = homomesic_subspace(rotate_mod(4), range(4), basis)
+        vectors = homomesic_subspace(rotate_mod(4), range(4), indicators(4))
         assert len(vectors) == 4
 
     def test_two_orbit_swap_system(self):
-        basis = [Statistic.scalar(f"e{i}", lambda x, i=i: 1 if x == i else 0)
-                 for i in range(4)]
+        basis = indicators(4)
         vectors = homomesic_subspace(swap_pairs, range(4), basis)
         # e0+e1 averages 1/2 on orbit {0,1} and 0 on {2,3}: not homomesic,
         # so the kernel is the coefficient vectors with c0+c1 = c2+c3
@@ -210,26 +212,31 @@ class TestHomomesicSubspace:
         # and every kernel member really is homomesic
         for vec in vectors:
             combo = Statistic.scalar(
-                "combo", lambda x, v=vec: sum(v[i] * basis[i].fn(x) for i in range(4)))
+                "combo", lambda x, v=vec: sum(c * e for c, e in zip(v, basis(x))))
             assert check_homomesy(swap_pairs, range(4), combo).homomesic
 
     def test_requires_scalar_statistics(self):
-        vec_stat = Statistic("v", 2, lambda x: (x, x))
-        with pytest.raises(ValueError, match="scalar"):
-            homomesic_subspace(swap_pairs, range(4), [vec_stat])
-        with pytest.raises(ValueError, match="at least one"):
-            homomesic_subspace(swap_pairs, range(4), [])
+        # each component is one exact scalar, and there are as many as declared;
+        # both are checked inside the search
+        float_component = Statistic("f", 2, lambda x: (x, 0.5))
+        with pytest.raises(TypeError, match="float"):
+            homomesic_subspace(swap_pairs, range(4), float_component)
+        pair_as_scalar = Statistic.scalar("s", lambda x: (x, x))
+        with pytest.raises(ValueError, match="dimension 2, declared 1"):
+            homomesic_subspace(swap_pairs, range(4), pair_as_scalar)
+        wrong_dimension = Statistic("v", 3, lambda x: (x, x))
+        with pytest.raises(ValueError, match="dimension 2, declared 3"):
+            homomesic_subspace(swap_pairs, range(4), wrong_dimension)
 
     def test_basis_values_must_be_bare(self):
-        # the search stacks each basis fn's value, so a 1-tuple is not a number
-        basis = [Statistic.scalar("boxed", lambda x: (x,))]
+        # a component that is itself a 1-tuple is not a number
+        boxed = Statistic("boxed", 2, lambda x: ((x,), 0))
         with pytest.raises(TypeError, match="tuple"):
-            homomesic_subspace(swap_pairs, range(4), basis)
+            homomesic_subspace(swap_pairs, range(4), boxed)
 
     def test_empty_space_rejected(self):
-        basis = [Statistic.scalar("e0", lambda x: x)]
         with pytest.raises(ValueError, match="empty state space"):
-            homomesic_subspace(swap_pairs, [], basis)
+            homomesic_subspace(swap_pairs, [], Statistic.scalar("e0", lambda x: x))
 
     def test_rows_come_from_the_orbit_averages_alone(self, monkeypatch):
         # no verdict, global average or difference rows: only orbit_average
@@ -237,9 +244,7 @@ class TestHomomesicSubspace:
             raise AssertionError("summarize_orbits ran")
 
         monkeypatch.setattr(engine, "summarize_orbits", refuse)
-        basis = [Statistic.scalar(f"e{i}", lambda x, i=i: 1 if x == i else 0)
-                 for i in range(4)]
-        assert len(homomesic_subspace(swap_pairs, range(4), basis)) == 3
+        assert len(homomesic_subspace(swap_pairs, range(4), indicators(4))) == 3
 
     def test_one_statistic_call_per_state(self, monkeypatch):
         calls = []
@@ -250,9 +255,7 @@ class TestHomomesicSubspace:
             return original(stat, state)
 
         monkeypatch.setattr(Statistic, "__call__", counted)
-        basis = [Statistic.scalar(f"e{i}", lambda x, i=i: 1 if x == i else 0)
-                 for i in range(6)]
-        homomesic_subspace(swap_pairs, range(6), basis)
+        homomesic_subspace(swap_pairs, range(6), indicators(6))
         assert sorted(calls) == list(range(6))
 
 
@@ -266,12 +269,12 @@ def reference_orbit_average(statistic, orbit):
     return tuple(t / orbit.period for t in total)
 
 
-def reference_subspace(tau, space, basis):
-    """The orbits x basis average matrix that homomesic_subspace replaced."""
+def reference_subspace(tau, space, statistic):
+    """The orbits x components average matrix that homomesic_subspace replaced."""
     orbits = orbit_partition(tau, space)
-    averages = [[reference_orbit_average(b, o)[0] for b in basis] for o in orbits]
+    averages = [reference_orbit_average(statistic, o) for o in orbits]
     rows = [[v - r for v, r in zip(row, averages[0])] for row in averages[1:]]
-    return reference_nullspace(rows, num_columns=len(basis))
+    return reference_nullspace(rows, num_columns=statistic.dimension)
 
 
 EXACT_VALUES = {
@@ -328,9 +331,8 @@ class TestExactSumsMatchTheFractionLoops:
             centered = tuple(v - m for v, m in zip(stat(x), ref_mean[x]))
             assert f_centered(x) == centered and all_fractions(f_centered(x))
 
-        basis = [Statistic.scalar(f"f{j}", lambda x, j=j: table[x][j]) for j in range(dim)]
-        kernel = homomesic_subspace(tau, space, basis)
-        assert kernel == reference_subspace(tau, space, basis)
+        kernel = homomesic_subspace(tau, space, stat)
+        assert kernel == reference_subspace(tau, space, stat)
         assert all(all_fractions(vec) for vec in kernel)
 
 
@@ -346,10 +348,11 @@ class TestSubspaceOnTheGridSystems:
                 args = build_parser().parse_args(
                     ["subspace", system, "--a", str(a), "--b", str(b)])
                 bundle = build_bundle(args)
-                # the element-indicator basis that the subspace command builds
-                basis = [Statistic.scalar(f"indicator[{k},{l}]",
-                                          lambda s, i=bundle.poset.index[(k, l)]: s.mask >> i & 1)
-                         for (k, l) in bundle.poset.elements]
+                # the element indicators that the subspace command reads from the mask
+                n = len(bundle.poset.elements)
+                basis = Statistic("indicators", n,
+                                  lambda s: [s.mask >> bundle.poset.index[x] & 1
+                                             for x in bundle.poset.elements])
                 kernel = homomesic_subspace(bundle.tau, bundle.space, basis)
                 assert kernel == reference_subspace(bundle.tau, bundle.space, basis), (a, b)
 

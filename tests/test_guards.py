@@ -6,11 +6,16 @@ that size before its spy (the constructor or iterator that makes the
 first state) is ever called.
 """
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from homomesy import posets
+from homomesy import guards, posets
 from homomesy.cli import main
 from homomesy.gallery import sandpile, suter, words
 from homomesy.gallery.sandpile import SandpileGraph, sandpile_recurrents, stable_configurations
@@ -109,3 +114,70 @@ def test_a_huge_tableau_space_exits_3_before_a_tableau_is_built(capsys, monkeypa
                             "4091889884134900190462574512052902400000 tableaux, "
                             "over the guard of 10000000\n")
 
+
+def test_every_closed_form_factor_stream_is_exact():
+    for a in range(0, 7):
+        for b in range(0, 7):
+            assert product_of(guards.binomial_factors(a, b)) == math.comb(a + b, a)
+    for n in range(0, 9):
+        assert product_of(guards.factorial_factors(n)) == math.factorial(n)
+        assert product_of(guards.power_factors(2, n)) == 2 ** n
+    assert product_of(guards.product_factors([3, 1, 4])) == 12
+    for nrows in (1, 2, 3):
+        for ncols in (1, 2, 3):
+            for ceiling in range(nrows, 7):
+                assert (product_of(guards.macmahon_factors(nrows, ncols, ceiling - nrows))
+                        == tableau_size(nrows, ncols, ceiling))
+
+
+def product_of(factors):
+    size = Fraction(1)
+    for num, den in factors:
+        assert num >= den >= 1
+        size *= Fraction(num, den)
+        assert size.denominator == 1  # every partial product is an integer
+    return int(size)
+
+
+def test_a_stream_stops_past_2_200_and_shows_a_lower_bound():
+    # 2^(n-1) for n = 10^9 is never built: the product stops at 2^200
+    with pytest.raises(GuardExceeded,
+                       match=r"^Y has at least 2\^200 diagrams, over the guard of 5$"):
+        check_space_size("Y", guards.power_factors(2, 10 ** 9), "diagrams", 5)
+    # C(600, 300) is about 2^596; the shown 2^k stays under it
+    with pytest.raises(GuardExceeded) as refused:
+        check_space_size("W", guards.binomial_factors(300, 300), "words", 5)
+    k = int(str(refused.value).split("2^")[1].split()[0])
+    assert 200 <= k and 2 ** k <= math.comb(600, 300)
+    # a guard of 2^200 or more is compared with the exact size
+    size = math.comb(600, 300)
+    check_space_size("W", guards.binomial_factors(300, 300), "words", size)
+    with pytest.raises(GuardExceeded, match=r"^W has at least 2\^\d+ words, over the guard"):
+        check_space_size("W", guards.binomial_factors(300, 300), "words", size - 1)
+
+
+HUGE_SPACES = [
+    ["reversal-inversions", "--n", "300000"],
+    ["reversal-inversions", "--n", "3000000"],
+    ["grid-rowmotion-ideals", "--a", "300000", "--b", "300000"],
+    ["grid-promotion-antichains", "--a", "3000000", "--b", "3000000"],
+    ["ballot", "--a", "300000", "--b", "300001"],
+    ["ssyt", "--a", "1000", "--b", "1000", "--k", "3000"],
+    ["ssyt", "--a", "2", "--b", "1000000", "--k", "3000000"],
+    ["suter", "--n", "4000000000"],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_SPACES, ids=lambda argv: argv[0] + argv[-1])
+def test_a_huge_space_exits_3_within_a_second(argv):
+    src = str(Path(guards.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    begin = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "homomesy.cli", "check", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    elapsed = time.perf_counter() - begin
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("guard exceeded: ") and done.stderr.count("\n") == 1
+    assert "has at least 2^" in done.stderr
+    assert elapsed < 1, elapsed

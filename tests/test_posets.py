@@ -280,8 +280,7 @@ class TestGridPoset:
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (4, 4), (5, 2)])
     def test_ideal_count(self, a, b):
         poset = GridPoset(a, b)
-        assert poset.ideal_count() == math.comb(a + b, a)
-        assert len(poset.enumerate_order_ideals()) == poset.ideal_count()
+        assert len(poset.enumerate_order_ideals()) == math.comb(a + b, a)
 
     def test_precheck_guard(self):
         poset = GridPoset(4, 4)

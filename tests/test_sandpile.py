@@ -178,6 +178,7 @@ class TestRecurrents:
 
     def test_tau_permutes_recurrents_in_two_2_cycles(self, cycle4):
         assert sandpile_tau(cycle4, (1, 0, 1)) == (1, 1, 1)
+        assert sandpile_tau(cycle4, iter((1, 0, 1))) == (1, 1, 1)  # any iterable
         assert sandpile_tau(cycle4, (1, 1, 1)) == (1, 0, 1)
         assert sandpile_tau(cycle4, (0, 1, 1)) == (1, 1, 0)
         assert sandpile_tau(cycle4, (1, 1, 0)) == (0, 1, 1)

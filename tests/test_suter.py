@@ -59,6 +59,15 @@ def test_rho_has_order_n(n):
         assert current == diagram
 
 
+@pytest.mark.parametrize("part", [2.5, 2.0, True, "2"], ids=repr)
+def test_a_part_that_is_not_an_int_is_refused_not_truncated(part):
+    for diagram in ((part,), (3, part)):
+        assert not is_staircase_member(5, diagram)
+        for step in (suter_rho, box_weights):
+            with pytest.raises(ValueError, match="does not fit in the staircase for n = 5"):
+                step(5, diagram)
+
+
 def test_box_weights():
     assert box_weights(5, ()) == []
     assert box_weights(5, (3, 3)) == [4, 3, 2, 3, 2, 1]
