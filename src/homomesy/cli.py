@@ -34,13 +34,14 @@ from itertools import chain
 from typing import Callable, Optional
 
 from .dynamics import (format_pm_word, parse_pm_word, promotion_antichain, promotion_ideal,
-                       rowmotion_antichain, rowmotion_ideal)
+                       require_pm_word, rowmotion_antichain, rowmotion_ideal)
 from .engine import (Statistic, check_homomesy, homomesic_subspace, in_reduced_span,
                      iterate_orbit, summarize_orbits)
 from .gallery.lyness import LynessState, abs_h, lyness_cycle, lyness_orbit_product
 from .gallery.sandpile import SandpileGraph, firing_statistic, sandpile_recurrents, sandpile_tau
-from .gallery.ssyt import SSYT, all_cells, cell_sum_statistic, rect_tableaux, ssyt_promotion
-from .gallery.suter import (diagonal_weight_statistic, is_staircase_member, staircase_diagrams,
+from .gallery.ssyt import (SSYT, all_cells, cell_sum_statistic, rect_tableaux, require_cell,
+                           ssyt_promotion)
+from .gallery.suter import (diagonal_weight_statistic, require_member, staircase_diagrams,
                             suter_rho, weight_statistic)
 from .gallery.words import ballot_system, cyclic_inversions_system, reversal_inversions_system
 from .guards import GuardExceeded
@@ -150,14 +151,6 @@ def _parse_cell_pairs(text: str):
 
 def _word_bundle(args, system: Callable) -> Bundle:
     space, tau, stat = system(args.a, args.b, args.guard)
-
-    def parse_seed(text):
-        word = parse_pm_word(text)
-        if len(word) != args.a + args.b or word.count(-1) != args.a:
-            raise UsageError(
-                f"seed word needs {args.a} minus letters and {args.b} plus letters")
-        return word
-
     return Bundle(
         map_name="leftward rotation",
         space_doc={"kind": "pm-words", "minus": args.a, "plus": args.b},
@@ -166,7 +159,7 @@ def _word_bundle(args, system: Callable) -> Bundle:
         stats={stat.name: lambda: stat},
         to_json=format_pm_word,
         to_text=format_pm_word,
-        parse_seed=parse_seed,
+        parse_seed=lambda text: require_pm_word(parse_pm_word(text), args.a, args.b),
     )
 
 
@@ -231,11 +224,8 @@ def _suter_bundle(args) -> Bundle:
 
     def parse_seed(text):
         text = text.strip()
-        diagram = () if text in ("", "[]") else _int_seed(
-            text, "comma-separated parts", "2,1")
-        if not is_staircase_member(n, diagram):
-            raise UsageError(f"{diagram} does not fit in the staircase for n = {n}")
-        return diagram
+        return require_member(n, () if text in ("", "[]") else _int_seed(
+            text, "comma-separated parts", "2,1"))
 
     return Bundle(
         map_name=f"suter rotation on the staircase family Y_{n}",
@@ -262,8 +252,7 @@ def _ssyt_bundle(args) -> Bundle:
         except ValueError:
             raise UsageError("cell sets are written cells:r,c;r,c") from None
         for r, c in cells:
-            if not (1 <= r <= nrows and 1 <= c <= ncols):
-                raise UsageError(f"cell ({r},{c}) outside the {nrows} x {ncols} rectangle")
+            require_cell(nrows, ncols, r, c)
         return cell_sum_statistic(cells)
 
     def parse_seed(text):
@@ -470,27 +459,21 @@ def _run_lyness(args, verdict: bool) -> int:
 
 
 def _named_generators(poset: GridPoset, on_ideals: bool):
-    """The paper's homomesic statistics on [a]x[b], as (name, coefficients
-    over poset.elements): file sums and sums of opposite elements on ideals,
-    fiber sums and differences of opposite elements on antichains."""
-    def combination(*terms):
-        coeffs = [0] * len(poset.elements)
-        for sign, members in terms:
-            for x in members:
-                coeffs[poset.index[x]] += sign
-        return coeffs
-
+    """The paper's homomesic statistics on [a]x[b], as (name, mask of the
+    elements with coefficient 1, mask of those with -1): file sums and sums
+    of opposite elements on ideals, fiber sums and differences of opposite
+    elements on antichains. The centre's opposite sum x + x is its
+    indicator, which spans the same line."""
+    mask = poset.element_mask
     pairs = [(x, poset.opposite(x)) for x in poset.elements]
     if on_ideals:
-        return ([(f"file-sum[{f}]", combination((1, poset.file_members(f))))
-                 for f in poset.files]
-                + [(f"opposite-sum[{x}+{y}]", combination((1, (x, y))))
-                   for x, y in pairs if x <= y])
-    return ([(f"fiber-sum[k={k}]", combination((1, poset.positive_fiber(k))))
+        return ([(f"file-sum[{f}]", poset.file_mask(f), 0) for f in poset.files]
+                + [(f"opposite-sum[{x}+{y}]", mask((x, y)), 0) for x, y in pairs if x <= y])
+    return ([(f"fiber-sum[k={k}]", mask(poset.positive_fiber(k)), 0)
              for k in range(1, poset.a + 1)]
-            + [(f"fiber-sum[l={l}]", combination((1, poset.negative_fiber(l))))
+            + [(f"fiber-sum[l={l}]", mask(poset.negative_fiber(l)), 0)
                for l in range(1, poset.b + 1)]
-            + [(f"opposite-difference[{x}-{y}]", combination((1, (x,)), (-1, (y,))))
+            + [(f"opposite-difference[{x}-{y}]", mask((x,)), mask((y,)))
                for x, y in pairs if x < y])
 
 
@@ -502,8 +485,9 @@ def run_subspace(args) -> int:
     bits = range(len(elements))  # element i is bit i of the mask
     indicators = Statistic("indicators", len(bits), lambda s: [s >> i & 1 for i in bits])
     vectors = homomesic_subspace(bundle.tau, bundle.space, indicators, args.guard)
-    checked = [(name, in_reduced_span(coeffs, vectors))
-               for name, coeffs in _named_generators(poset, args.system.endswith("-ideals"))]
+    checked = [(name, in_reduced_span([(plus >> i & 1) - (minus >> i & 1) for i in bits],
+                                      vectors))
+               for name, plus, minus in _named_generators(poset, args.system.endswith("-ideals"))]
     def doc():
         return {
             "system": args.system,

@@ -150,8 +150,7 @@ def sign_word(poset: GridPoset, ideal: OrderIdeal) -> tuple[int, ...]:
 
 def ideal_from_sign_word(poset: GridPoset, word) -> OrderIdeal:
     """Inverse of sign_word; validates the letter multiset."""
-    word = tuple(word)
-    _require_pm_word(word, poset.a, poset.b)
+    word = require_pm_word(word, poset.a, poset.b)
     mask = 0
     height = poset.a
     for pos, letter in enumerate(word, start=1):
@@ -163,13 +162,17 @@ def ideal_from_sign_word(poset: GridPoset, word) -> OrderIdeal:
     return OrderIdeal(mask)
 
 
-def _require_pm_word(word, minuses: int, pluses: int) -> None:
+def require_pm_word(word, minuses: int, pluses: int) -> tuple[int, ...]:
+    """The word as a tuple, once it is checked to hold minuses letters -1
+    and pluses letters +1 and nothing else."""
+    word = tuple(word)
     if any(c not in (PLUS, MINUS) for c in word):
         raise ValueError("word letters must be +1 or -1")
     if len(word) != minuses + pluses or word.count(MINUS) != minuses:
         raise ValueError(
             f"word must have {minuses} minus letters and {pluses} plus letters"
         )
+    return word
 
 
 # -- block/gap reversal ------------------------------------------------------
@@ -215,8 +218,7 @@ def stanley_thomas_word(poset: GridPoset, antichain: Antichain) -> tuple[int, ..
 
 def antichain_from_st_word(poset: GridPoset, word) -> Antichain:
     """Inverse of stanley_thomas_word; validates the letter multiset."""
-    word = tuple(word)
-    _require_pm_word(word, poset.a, poset.b)
+    word = require_pm_word(word, poset.a, poset.b)
     rows = [k for k in range(1, poset.a + 1) if word[k - 1] == PLUS]
     cols = [l for l in range(1, poset.b + 1) if word[poset.a + l - 1] == MINUS]
     # ascending rows pair with descending columns

@@ -6,9 +6,10 @@ and stabilizes; its cycle states are the recurrent configurations, and the
 per-vertex firing count of that step is homomesic with constant vector
 f* solving L' f* = 1_source (L' the reduced Laplacian). `sandpile_tau` and
 the firing statistic validate a configuration once, then share one grain
-drop, whose `sandpile_stabilize` validates again; a grain count that is not
-an int is refused, not truncated. The stable configurations are refused
-over the guard from the product of the out-degrees.
+drop, whose `sandpile_stabilize` validates again; a grain count or an edge
+multiplicity that is not an int is refused, not truncated. The stable
+configurations are refused over the guard from the product of the
+out-degrees.
 
 Graph text format (see SandpileGraph.from_text): one directed edge bundle
 per line as "v w count", plus the headers "sink t" and "source s". Vertex
@@ -29,9 +30,9 @@ class SandpileGraph:
         seen = set()
         multiplicity: dict = {}
         for v, w, count in edges:
-            count = int(count)
-            if count < 1:
-                raise ValueError(f"edge ({v!r}, {w!r}) needs multiplicity >= 1")
+            if type(count) is not int or count < 1:  # no float, no bool
+                raise ValueError(f"edge ({v!r}, {w!r}) needs an int multiplicity >= 1, "
+                                 f"not {count!r}")
             for u in (v, w):
                 if u not in seen:
                     seen.add(u)
@@ -153,9 +154,7 @@ def sandpile_stabilize(graph: SandpileGraph, config, guard: int | None = None):
     total = 0
     while queue:
         i = queue.popleft()
-        queued.discard(i)
-        if grains[i] < degrees[i]:
-            continue
+        queued.discard(i)  # queued while unstable, and only its own firing drains it
         total += 1
         if total > guard:
             raise GuardExceeded(f"stabilization exceeded {guard} firings")

@@ -51,10 +51,14 @@ class SSYT:
 
     def entry(self, r: int, c: int) -> int:
         """1-indexed entry access."""
-        nrows, ncols = self.shape
-        if not (1 <= r <= nrows and 1 <= c <= ncols):
-            raise ValueError(f"cell ({r}, {c}) outside the {nrows} x {ncols} rectangle")
+        require_cell(*self.shape, r, c)
         return self.rows[r - 1][c - 1]
+
+
+def require_cell(nrows: int, ncols: int, r: int, c: int) -> None:
+    """Refuse a 1-indexed cell (r, c) outside the nrows x ncols rectangle."""
+    if not (1 <= r <= nrows and 1 <= c <= ncols):
+        raise ValueError(f"cell ({r}, {c}) outside the {nrows} x {ncols} rectangle")
 
 
 def bender_knuth(tableau: SSYT, i: int) -> SSYT:

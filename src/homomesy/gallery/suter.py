@@ -34,10 +34,12 @@ def is_staircase_member(n: int, diagram) -> bool:
     return diagram[0] + len(diagram) <= n
 
 
-def _require_member(n: int, diagram) -> tuple:
+def require_member(n: int, diagram) -> tuple:
+    """The diagram as a tuple, once it is checked to lie in Y_n."""
     diagram = tuple(diagram)
     if not is_staircase_member(n, diagram):
-        raise ValueError(f"{diagram} does not fit in the staircase for n = {n}")
+        raise ValueError(f"{diagram} is not in Y_{n}: parts must be positive ints, "
+                         f"weakly decreasing, with λ1 + ℓ(λ) ≤ {n}")
     return diagram
 
 
@@ -65,7 +67,7 @@ def staircase_diagrams(n: int, guard: int | None = None) -> list[Partition]:
 
 def suter_rho(n: int, diagram) -> Partition:
     """One application of Suter's map."""
-    diagram = _require_member(n, diagram)
+    diagram = require_member(n, diagram)
     first = diagram[0] if diagram else 0
     core = tuple(p + 1 for p in diagram[1:])
     pad = (n - 1 - first) - len(core)
@@ -74,7 +76,7 @@ def suter_rho(n: int, diagram) -> Partition:
 
 def box_weights(n: int, diagram) -> list[int]:
     """Weights n - r - c + 1 of the boxes, row by row."""
-    diagram = _require_member(n, diagram)
+    diagram = require_member(n, diagram)
     return [
         n - r - c + 1
         for r, row_len in enumerate(diagram, start=1)

@@ -272,8 +272,9 @@ class GridPoset(FinitePoset):
         self.a = a
         self.b = b
         # masks for the kernels
-        self._file_masks = {f: self.element_mask((k, k + f) for k in range(1, a + 1)
-                                                 if 1 <= k + f <= b) for f in self.files}
+        self._file_masks = {f: self.element_mask((k, k + f) for k in
+                                                 range(max(1, 1 - f), min(a, b - f) + 1))
+                            for f in self.files}
         self.col1 = self.element_mask(self.negative_fiber(1))
         self.lastcol = self.element_mask(self.negative_fiber(b))
         self.row1 = self.element_mask(self.positive_fiber(1))
@@ -338,19 +339,22 @@ class GridPoset(FinitePoset):
         whose row k holds the lowest r_k bits of that row. The masks are
         built row by row from the bottom; a higher row is worth more than
         all rows below it, so listing its lengths in ascending order over
-        sorted lists of the rows below keeps the result sorted.
+        sorted lists of the rows below keeps the result sorted. The masks
+        whose top row has length >= r are then a suffix of the list.
         """
         check_grid_guard(self.a, self.b, guard)
         b = self.b
-        # below[r]: the sorted masks of the rows so far whose top row has length >= r
-        below = [[0]] * (b + 1)
+        # starts[r]: where the masks whose top row has length >= r begin
+        masks, starts = [0], [0] * (b + 1)
         for shift in range(0, self.a * b, b):
-            longer: list[int] = []
-            for r in range(b, -1, -1):
+            # an empty new row keeps every mask as it is; longer ones append
+            end, starts_next = len(masks), [0]
+            for r in range(1, b + 1):
+                starts_next.append(len(masks))
                 row = ((1 << r) - 1) << shift
-                longer = [row | m for m in below[r]] + longer
-                below[r] = longer
-        return [OrderIdeal(m) for m in below[0]]
+                masks += [row | m for m in masks[starts[r]:end]]
+            starts = starts_next
+        return [OrderIdeal(m) for m in masks]
 
     def down_closure(self, generators) -> OrderIdeal:
         if not isinstance(generators, (Antichain, OrderIdeal)):

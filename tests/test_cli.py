@@ -335,6 +335,28 @@ class TestOrbits:
         assert "1,2;3,4" in err
         assert "2 x 2" in err and "3 x 3" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("orbits", "reversal-inversions", "--n", "3", "--seed", "1,x"),
+         "seed must be a comma-separated permutation, e.g. 2,3,1"),
+        (("orbits", "reversal-inversions", "--n", "3", "--seed", "1,1,2"),
+         "seed must be a permutation of 1..3"),
+        (("orbits", "suter", "--n", "3", "--seed", "2,1"),
+         "(2, 1) is not in Y_3: parts must be positive ints, weakly decreasing, "
+         "with λ1 + ℓ(λ) ≤ 3"),
+        (("check", "ssyt", "--a", "3", "--b", "2", "--k", "2"),
+         "no tableaux: ceiling 2 is below the number of rows 3"),
+        (("orbits", "ssyt", "--a", "2", "--b", "2", "--k", "3", "--seed", "1,2;1,2"),
+         "bad tableau seed: columns must strictly increase"),
+        (("check", "ssyt", "--a", "2", "--b", "2", "--k", "4", "--stat", "cells:3,1"),
+         "cell (3, 1) outside the 2 x 2 rectangle"),
+        (("orbits", "ballot", "--a", "2", "--b", "2", "--seed", "+-+"),
+         "word must have 2 minus letters and 2 plus letters"),
+    ], ids=["permutation-letter", "permutation-repeat", "suter-outside-Y_n",
+            "ssyt-no-tableaux", "ssyt-bad-seed", "ssyt-cell-outside", "word-letter-count"])
+    def test_a_refused_input_prints_one_error_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 SAMPLE_SYSTEMS = [
     ("grid-promotion-antichains", "--a", "3", "--b", "2"),

@@ -14,6 +14,7 @@ from homomesy.dynamics import (
     parse_pm_word,
     promotion_antichain,
     promotion_ideal,
+    require_pm_word,
     rowmotion_antichain,
     rowmotion_ideal,
     rowmotion_ideal_by_ranks,
@@ -287,6 +288,11 @@ class TestSignWords:
             ideal_from_sign_word(poset, (PLUS, MINUS))
         with pytest.raises(ValueError, match="letters"):
             ideal_from_sign_word(poset, (2, 0, 1, 1))
+
+    def test_the_word_check_returns_the_word_as_a_tuple(self):
+        assert require_pm_word(iter([MINUS, PLUS, PLUS]), 1, 2) == (MINUS, PLUS, PLUS)
+        with pytest.raises(ValueError, match="word must have 1 minus letters and 2 plus"):
+            require_pm_word([MINUS, MINUS, PLUS], 1, 2)
 
     @pytest.mark.parametrize("a,b", [(2, 2), (3, 2), (3, 3), (2, 4)])
     def test_promotion_is_the_left_shift(self, a, b):

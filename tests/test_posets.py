@@ -1,15 +1,19 @@
 """Poset construction, ideal/antichain machinery, and the grid poset."""
 import math
+import sys
+import tracemalloc
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from homomesy import posets
 from homomesy.guards import GuardExceeded
 from homomesy.posets import Antichain, FinitePoset, GridPoset, OrderIdeal, iter_bits
 
 
 GRID_SIZES = [(a, b) for a in range(1, 7) for b in range(1, 7)]
+THIN_GRID_SIZES = [(1, 12), (12, 1), (2, 9), (9, 2)]
 
 
 def plain_poset(grid):
@@ -247,7 +251,7 @@ class TestGridPoset:
             seen.extend(members)
         assert sorted(seen) == sorted(poset.elements)
 
-    @pytest.mark.parametrize("a,b", GRID_SIZES)
+    @pytest.mark.parametrize("a,b", GRID_SIZES + THIN_GRID_SIZES)
     def test_file_members_match_the_rank_sorted_construction(self, a, b):
         poset = GridPoset(a, b)
         for f in poset.files:
@@ -345,7 +349,7 @@ class TestGridKernelsMatchGeneric:
     """The GridPoset shift-and-mask kernels against the FinitePoset code on
     the same poset built from the grid's covers."""
 
-    @pytest.mark.parametrize("a,b", GRID_SIZES)
+    @pytest.mark.parametrize("a,b", GRID_SIZES + THIN_GRID_SIZES)
     def test_enumerations(self, a, b):
         grid = GridPoset(a, b)
         plain = plain_poset(grid)
@@ -374,3 +378,56 @@ def test_down_closure_of_any_mask_matches_brute_force(a, b, bits):
     mask = bits & poset.full_mask
     got = poset.down_closure(OrderIdeal(mask))
     assert set(poset.members(got)) == brute_down_closure(poset, poset.members(mask))
+
+
+def posets_line_events(fn) -> int:
+    """Line events that fn() runs in posets.py: a count of the Python-level
+    steps the grid code takes, which no clock speed can blur."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == posets.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+class TestThinGrids:
+    """[a]x[1] and [1]x[b] hold only a + 1 or b + 1 ideals; building the
+    poset and listing them stays linear in that count. The generic walk
+    checks their results in TestGridKernelsMatchGeneric."""
+
+    def test_file_masks_scan_only_their_own_rows(self):
+        # file f reads only the rows k with 1 <= k + f <= b
+        small = posets_line_events(lambda: GridPoset(200, 1))
+        large = posets_line_events(lambda: GridPoset(400, 1))
+        assert large < 3 * small
+
+    def test_an_empty_new_row_copies_no_mask(self):
+        # an empty new row keeps the masks below it; only longer rows build new ones
+        small, large = GridPoset(200, 1), GridPoset(400, 1)
+        assert posets_line_events(large.enumerate_order_ideals) < \
+            3 * posets_line_events(small.enumerate_order_ideals)
+
+    def test_one_row_keeps_one_list(self):
+        # one list and a start per row length: no copy of the list per length
+        poset = GridPoset(1, 3000)
+        tracemalloc.start()
+        try:
+            ideals = poset.enumerate_order_ideals()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ideals) == 3001
+        assert peak < 6_000_000

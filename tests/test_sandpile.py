@@ -90,6 +90,11 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="multiplicity"):
             SandpileGraph([("a", "b", 0)], "b", "a")
 
+    @pytest.mark.parametrize("count", [2.7, 1.0, True, "1"], ids=repr)
+    def test_a_multiplicity_that_is_not_an_int_is_refused_not_truncated(self, count):
+        with pytest.raises(ValueError, match="needs an int multiplicity >= 1, not "):
+            SandpileGraph([("1", "2", count), ("2", "1", 1), ("2", "3", 1)], "3", "1")
+
     def test_sink_must_be_reachable(self):
         with pytest.raises(ValueError, match="no directed path"):
             SandpileGraph([("a", "b", 1), ("c", "c".upper(), 1), ("C", "c", 1)],

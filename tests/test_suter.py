@@ -64,7 +64,7 @@ def test_a_part_that_is_not_an_int_is_refused_not_truncated(part):
     for diagram in ((part,), (3, part)):
         assert not is_staircase_member(5, diagram)
         for step in (suter_rho, box_weights):
-            with pytest.raises(ValueError, match="does not fit in the staircase for n = 5"):
+            with pytest.raises(ValueError, match=r"is not in Y_5: parts must be positive ints"):
                 step(5, diagram)
 
 
