@@ -38,7 +38,7 @@ from .dynamics import (format_pm_word, parse_pm_word, promotion_antichain, promo
 from .engine import (Statistic, check_homomesy, homomesic_subspace, in_reduced_span,
                      iterate_orbit, summarize_orbits)
 from .gallery.lyness import LynessState, abs_h, lyness_cycle, lyness_orbit_product
-from .gallery.sandpile import SandpileGraph, firing_statistic, sandpile_recurrents, sandpile_tau
+from .gallery.sandpile import SandpileGraph, firing_statistic, sandpile_recurrents
 from .gallery.ssyt import (SSYT, all_cells, cell_sum_statistic, rect_tableaux, require_cell,
                            ssyt_promotion)
 from .gallery.suter import (diagonal_weight_statistic, require_member, staircase_diagrams,
@@ -109,7 +109,7 @@ def _comma_text(values) -> str:
 # -- per-system bundles -------------------------------------------------------
 
 def _grid_bundle(args) -> Bundle:
-    check_grid_guard(args.a, args.b, args.guard)  # before the (ab)^2-bit tables exist
+    check_grid_guard(args.a, args.b, args.guard)  # before the a*b element labels exist
     poset = GridPoset(args.a, args.b)
     promo = "promotion" in args.system
     if args.system.endswith("-ideals"):
@@ -189,12 +189,12 @@ def _sandpile_bundle(args) -> Bundle:
         graph = SandpileGraph.from_file(args.graph)
     except OSError as exc:
         raise UsageError(f"cannot read graph file: {exc}") from None
-    space = sandpile_recurrents(graph, args.guard)
+    successor = sandpile_recurrents(graph, args.guard)  # tau on the recurrents
 
     def parse_seed(text):
         config = _int_seed(text, "comma-separated grain counts", "1,0,1")
         config = graph.validate_config(config)
-        if config not in set(space):
+        if config not in successor:
             raise UsageError("seed is not a recurrent configuration of this graph")
         return config
 
@@ -203,8 +203,8 @@ def _sandpile_bundle(args) -> Bundle:
         space_doc={"kind": "recurrent-configurations",
                    "vertices": list(graph.nonsink), "sink": graph.sink,
                    "source": graph.source},
-        space=space,
-        tau=lambda s: sandpile_tau(graph, s, args.guard),
+        space=list(successor),
+        tau=successor.__getitem__,
         stats={"firing-vector": lambda: firing_statistic(graph, args.guard)},
         to_json=list,
         to_text=_comma_text,

@@ -33,14 +33,10 @@ def toggle(poset: FinitePoset, ideal: OrderIdeal, x) -> OrderIdeal:
 
 
 def _toggle_index(poset: FinitePoset, ideal: OrderIdeal, i: int) -> OrderIdeal:
-    bit = 1 << i
-    if ideal & bit:
-        if poset.up_covers[i] & ideal:
-            return ideal
-        return OrderIdeal(ideal ^ bit)
-    if poset.down_covers[i] & ~ideal:
-        return ideal
-    return OrderIdeal(ideal | bit)
+    # x can leave I when it is maximal in I, and join when it is minimal
+    # outside I
+    movable = poset.maximal_elements(ideal) | poset.minimal_elements_of_complement(ideal)
+    return OrderIdeal(ideal ^ (movable & 1 << i))
 
 
 # -- rowmotion ---------------------------------------------------------------
@@ -61,13 +57,17 @@ def rowmotion_ideal_by_toggles(poset: FinitePoset, ideal: OrderIdeal,
     if extension is None:
         order = poset._extension
     else:
-        order = tuple(poset.index[x] for x in extension)
-        seen = 0
-        for i in order:
-            if poset.down_covers[i] & ~seen:
+        # a linear extension lists each element once, and each prefix is an ideal
+        order, seen = [], 0
+        for x in extension:
+            bit = poset.element_mask((x,))
+            if seen & bit:
+                raise ValueError("linear extension must list every element once")
+            seen |= bit
+            if not poset.is_ideal_mask(seen):
                 raise ValueError("sequence is not a linear extension")
-            seen |= 1 << i
-        if len(order) != len(poset):
+            order.append(poset.index[x])
+        if seen != poset.full_mask:
             raise ValueError("linear extension must list every element once")
     for i in reversed(order):
         ideal = _toggle_index(poset, ideal, i)

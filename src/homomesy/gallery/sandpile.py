@@ -191,13 +191,14 @@ def stable_configurations(graph: SandpileGraph, guard: int | None = None):
     return [tuple(c) for c in iter_product(*map(range, graph._degree))]
 
 
-def sandpile_recurrents(graph: SandpileGraph, guard: int | None = None):
+def sandpile_recurrents(graph: SandpileGraph, guard: int | None = None) -> dict:
     """Recurrent configurations: the cycle states of the one-step dynamic.
 
     Peels states of in-degree zero from the functional graph of tau over
-    all stable configurations; whatever survives lies on a cycle. guard
-    caps both the number of stable configurations and the firings of each
-    step.
+    all stable configurations; whatever survives lies on a cycle. Returns
+    {recurrent: its tau image} in ascending order of the recurrents, so the
+    map that found them also serves as tau on them. guard caps both the
+    number of stable configurations and the firings of each step.
     """
     states = stable_configurations(graph, guard)
     successor = {s: sandpile_tau(graph, s, guard) for s in states}
@@ -213,7 +214,8 @@ def sandpile_recurrents(graph: SandpileGraph, guard: int | None = None):
         indegree[t] -= 1
         if indegree[t] == 0:
             queue.append(t)
-    return sorted(s for s in states if s not in removed)
+    # stable_configurations lists the states in ascending order
+    return {s: successor[s] for s in states if s not in removed}
 
 
 def firing_statistic(graph: SandpileGraph, guard: int | None = None) -> Statistic:

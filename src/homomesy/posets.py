@@ -83,19 +83,13 @@ class FinitePoset:
             self.up_covers[i] |= 1 << j
             self.down_covers[j] |= 1 << i
         self._extension = self._smallest_linear_extension()
-        # below[i] / above[i]: principal ideal / filter of element i, incl. i
+        # below[i]: principal ideal of element i, incl. i
         self.below = [0] * n
-        self.above = [0] * n
         for i in self._extension:
             m = 1 << i
             for j in iter_bits(self.down_covers[i]):
                 m |= self.below[j]
             self.below[i] = m
-        for i in reversed(self._extension):
-            m = 1 << i
-            for j in iter_bits(self.up_covers[i]):
-                m |= self.above[j]
-            self.above[i] = m
 
     def _smallest_linear_extension(self) -> tuple[int, ...]:
         # Greedy Kahn with a heap: the index-lex smallest linear extension.
@@ -140,24 +134,21 @@ class FinitePoset:
 
     def leq(self, x, y) -> bool:
         """True when x <= y in the poset order."""
-        for z in (x, y):
-            if z not in self.index:
-                raise ValueError(f"{z!r} is not an element of this poset")
-        return bool(self.below[self.index[y]] >> self.index[x] & 1)
+        x_bit = self.element_mask((x,))
+        return bool(self.down_closure((y,)) & x_bit)
 
     # -- ideal / antichain machinery --------------------------------------
+    # leq, the ideal and antichain checks and the toggles of dynamics read
+    # only the kernels down_closure, maximal_elements and
+    # minimal_elements_of_complement, so a subclass that overrides those
+    # three and enumeration needs no cover or order table.
 
     def is_ideal_mask(self, mask: int) -> bool:
-        for i in iter_bits(mask):
-            if self.down_covers[i] & ~mask:
-                return False
-        return True
+        return 0 <= mask <= self.full_mask and self.down_closure(OrderIdeal(mask)) == mask
 
     def is_antichain_mask(self, mask: int) -> bool:
-        for i in iter_bits(mask):
-            if (self.below[i] | self.above[i]) & mask & ~(1 << i):
-                return False
-        return True
+        return (0 <= mask <= self.full_mask
+                and self.maximal_elements(self.down_closure(Antichain(mask))) == mask)
 
     def ideal(self, items) -> OrderIdeal:
         """Build an OrderIdeal from an element set, validating down-closure."""
@@ -253,24 +244,23 @@ class GridPoset(FinitePoset):
     1 inside a row or by b across rows. Rank of (k, l) is k + l - 2; the
     file is l - k and ranges over [1 - a, b - 1].
 
-    Enumeration and the ideal/antichain bijection override the generic
-    FinitePoset code with shift-and-mask kernels on that layout; the
-    generic code stays the reference for them.
+    The three kernels (down_closure, maximal_elements,
+    minimal_elements_of_complement) and enumeration are shift-and-mask
+    operations on that layout, and every other query FinitePoset derives
+    from the kernels. So a grid stores its elements, their index and a few
+    masks, and builds no cover list or per-element order table; the
+    generic FinitePoset code stays the reference for the kernels.
     """
 
     def __init__(self, a: int, b: int):
         if a < 1 or b < 1:
             raise ValueError("both chain lengths must be at least 1")
-        elements = [(k, l) for k in range(1, a + 1) for l in range(1, b + 1)]
-        covers = []
-        for k, l in elements:
-            if k < a:
-                covers.append(((k, l), (k + 1, l)))
-            if l < b:
-                covers.append(((k, l), (k, l + 1)))
-        super().__init__(elements, covers)
         self.a = a
         self.b = b
+        self.elements = tuple((k, l) for k in range(1, a + 1) for l in range(1, b + 1))
+        self.index = {x: i for i, x in enumerate(self.elements)}
+        self.full_mask = (1 << a * b) - 1
+        self._extension = range(a * b)  # lexicographic order: the least linear extension
         # masks for the kernels
         self._file_masks = {f: self.element_mask((k, k + f) for k in
                                                  range(max(1, 1 - f), min(a, b - f) + 1))
@@ -357,9 +347,9 @@ class GridPoset(FinitePoset):
         return [OrderIdeal(m) for m in masks]
 
     def down_closure(self, generators) -> OrderIdeal:
-        if not isinstance(generators, (Antichain, OrderIdeal)):
-            return super().down_closure(generators)
         m = generators
+        if not isinstance(m, (Antichain, OrderIdeal)):
+            m = self.element_mask(m)
         for s in self._column_shifts:
             m |= m >> s
         for s, keep in self._row_lanes:

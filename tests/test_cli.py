@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import homomesy
+from homomesy import cli
 from homomesy.cli import SYSTEMS, build_bundle, build_parser, main
 from homomesy.dynamics import (
     promotion_antichain,
@@ -19,6 +20,7 @@ from homomesy.dynamics import (
     rowmotion_ideal,
 )
 from homomesy.engine import HomomesyReport, Statistic, orbit_average, orbit_partition
+from homomesy.gallery import sandpile
 from homomesy.posets import FinitePoset, GridPoset
 
 CYCLE4 = """1 2 1
@@ -214,6 +216,26 @@ class TestCheck:
                              "--expect-c", "1/2,1,1/2")
         assert code == 0
         assert "homomesic: yes" in out
+
+    def test_sandpile_runs_tau_once_per_stable_configuration(self, capsys, monkeypatch,
+                                                               tmp_path):
+        # the search for the recurrents already steps every stable configuration
+        calls = []
+        original = sandpile.sandpile_tau
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        for module in (sandpile, cli):  # every module that binds the function
+            if getattr(module, "sandpile_tau", None) is original:
+                monkeypatch.setattr(module, "sandpile_tau", spy)
+        k4 = tmp_path / "k4.graph"
+        k4.write_text("".join(f"{v} {w} 1\n" for v in "1234" for w in "1234" if v != w)
+                      + "sink 4\nsource 1\n")
+        code, out, err = run(capsys, "check", "sandpile", "--graph", str(k4))
+        assert code == 0 and "homomesic: yes" in out
+        assert len(calls) == 27 == len(set(calls))  # 3 ** 3 stable configurations
 
     def test_sandpile_requires_graph(self, capsys):
         code, out, err = run(capsys, "check", "sandpile")

@@ -24,16 +24,23 @@ from homomesy.dynamics import (
     toggle,
 )
 from homomesy import dynamics
-from homomesy.posets import Antichain, FinitePoset, GridPoset, OrderIdeal, iter_bits
+from homomesy.posets import Antichain, FinitePoset, GridPoset, OrderIdeal
 
 pm_word_strategy = st.lists(st.sampled_from([PLUS, MINUS]), max_size=14).map(tuple)
+DIAMOND = FinitePoset("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+VEE = FinitePoset(["bot", "l", "r"], [("bot", "l"), ("bot", "r")])
+
+
+def grid_covers(grid):
+    """The cover pairs of [a] x [b] from coordinates: (k, l) is covered by
+    (k + 1, l) and by (k, l + 1)."""
+    return [((k, l), y) for k, l in grid.elements
+            for y in ((k + 1, l), (k, l + 1)) if y in grid.index]
 
 
 def plain_poset(grid):
     """The same poset as a generic FinitePoset, built from the grid's covers."""
-    covers = [(x, grid.elements[j]) for i, x in enumerate(grid.elements)
-              for j in iter_bits(grid.up_covers[i])]
-    return FinitePoset(grid.elements, covers)
+    return FinitePoset(grid.elements, grid_covers(grid))
 
 
 def reference_promotion_ideal(poset, ideal):
@@ -66,7 +73,34 @@ def run_exchange_reversal(word):
     return tuple(out[1:-1])
 
 
+@st.composite
+def small_posets(draw):
+    """A poset on 0..n-1 whose relations follow a drawn order of the
+    elements, so index order need not be a linear extension."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    covers = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return FinitePoset(range(n), covers)
+
+
+def assert_toggles_flip_when_the_result_is_an_ideal(poset):
+    ideals = poset.enumerate_order_ideals()  # the walk reads the covers, not the kernels
+    for ideal in ideals:
+        for x in poset.elements:
+            flipped = ideal ^ poset.element_mask((x,))
+            assert toggle(poset, ideal, x) == (flipped if flipped in ideals else ideal)
+
+
 class TestToggles:
+    @pytest.mark.parametrize("poset", [DIAMOND, VEE], ids=["diamond", "vee"])
+    def test_toggle_flips_exactly_when_the_result_is_an_ideal(self, poset):
+        assert_toggles_flip_when_the_result_is_an_ideal(poset)
+
+    @given(small_posets())
+    def test_toggle_on_drawn_posets(self, poset):
+        assert_toggles_flip_when_the_result_is_an_ideal(poset)
+
     def test_toggle_requires_known_element(self):
         poset = GridPoset(2, 2)
         with pytest.raises(ValueError):
@@ -82,12 +116,7 @@ class TestToggles:
 
     def test_toggles_commute_unless_covering(self):
         poset = GridPoset(3, 3)
-        covers = {
-            (x, y)
-            for x in poset.elements
-            for y in poset.elements
-            if poset.up_covers[poset.index[x]] >> poset.index[y] & 1
-        }
+        covers = set(grid_covers(poset))
         for x in poset.elements:
             for y in poset.elements:
                 if x == y or (x, y) in covers or (y, x) in covers:
@@ -130,6 +159,16 @@ class TestRowmotionRoutes:
                                        [(2, 2), (1, 1), (1, 2), (2, 1)])
         with pytest.raises(ValueError, match="every element"):
             rowmotion_ideal_by_toggles(poset, OrderIdeal(0), [(1, 1)])
+
+    def test_toggle_route_refuses_a_repeated_element(self):
+        abc = DIAMOND.ideal("abc")
+        assert rowmotion_ideal_by_toggles(DIAMOND, abc) == DIAMOND.full_mask
+        with pytest.raises(ValueError, match="every element once"):
+            rowmotion_ideal_by_toggles(DIAMOND, abc, ["a", "a", "b", "c"])
+
+    def test_toggle_route_names_an_unknown_element(self):
+        with pytest.raises(ValueError, match="'z' is not an element"):
+            rowmotion_ideal_by_toggles(DIAMOND, OrderIdeal(0), ["a", "b", "c", "z"])
 
     def test_rank_route_requires_grid(self):
         poset = FinitePoset("ab", [("a", "b")])

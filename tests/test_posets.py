@@ -16,11 +16,16 @@ GRID_SIZES = [(a, b) for a in range(1, 7) for b in range(1, 7)]
 THIN_GRID_SIZES = [(1, 12), (12, 1), (2, 9), (9, 2)]
 
 
+def grid_covers(grid):
+    """The cover pairs of [a] x [b] from coordinates: (k, l) is covered by
+    (k + 1, l) and by (k, l + 1)."""
+    return [((k, l), y) for k, l in grid.elements
+            for y in ((k + 1, l), (k, l + 1)) if y in grid.index]
+
+
 def plain_poset(grid):
     """The same poset as a generic FinitePoset, built from the grid's covers."""
-    covers = [(x, grid.elements[j]) for i, x in enumerate(grid.elements)
-              for j in iter_bits(grid.up_covers[i])]
-    return FinitePoset(grid.elements, covers)
+    return FinitePoset(grid.elements, grid_covers(grid))
 
 
 def brute_down_closure(poset, items):
@@ -370,6 +375,53 @@ class TestGridKernelsMatchGeneric:
     def test_down_closure_of_elements_is_still_validated(self):
         with pytest.raises(ValueError, match="not an element"):
             GridPoset(2, 2).down_closure([(3, 1)])
+
+    @pytest.mark.parametrize("a,b", GRID_SIZES)
+    def test_leq_is_the_product_order(self, a, b):
+        # the brute-force references in this file read leq, so pin it to coordinates
+        grid = GridPoset(a, b)
+        for x in grid.elements:
+            for y in grid.elements:
+                assert grid.leq(x, y) == (x[0] <= y[0] and x[1] <= y[1])
+
+
+@pytest.mark.parametrize("poset", [GridPoset(2, 2), plain_poset(GridPoset(2, 2))],
+                         ids=["grid", "generic"])
+def test_a_mask_outside_the_poset_is_neither_ideal_nor_antichain(poset):
+    for mask in (-1, 1 << 4, 1 << 5, 0b1 | 1 << 4):
+        assert not poset.is_ideal_mask(mask)
+        assert not poset.is_antichain_mask(mask)
+
+
+class TestGridBuildsNoGenericTables:
+    """A grid answers every query from its kernel masks, so it builds no
+    cover list and no per-element order table."""
+
+    def test_no_cover_walk(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the generic linear extension ran")
+
+        monkeypatch.setattr(FinitePoset, "_smallest_linear_extension", refuse)
+        grid = GridPoset(4, 5)
+        assert grid.linear_extension == grid.elements
+        assert grid.leq((1, 2), (3, 4)) and not grid.leq((2, 1), (1, 5))
+        assert grid.ideal([(1, 1), (1, 2), (2, 1)]) == 0b1 | 0b10 | 1 << 5
+        with pytest.raises(ValueError, match="not down-closed"):
+            grid.ideal([(2, 2)])
+        assert grid.antichain([(1, 3), (2, 1)]) == 0b100 | 1 << 5
+        with pytest.raises(ValueError, match="comparable pair"):
+            grid.antichain([(1, 1), (2, 2)])
+        assert len(grid.enumerate_antichains()) == math.comb(9, 4)
+
+    def test_construction_is_small(self):
+        tracemalloc.start()
+        try:
+            grid = GridPoset(1, 3000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 3000
+        assert held < 2_500_000
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 16 - 1))

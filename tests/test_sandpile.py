@@ -175,7 +175,7 @@ class TestRecurrents:
             stable_configurations(cycle4, guard=7)
 
     def test_recurrents_of_the_4_cycle(self, cycle4):
-        assert sandpile_recurrents(cycle4) == [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+        assert list(sandpile_recurrents(cycle4)) == [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
 
     def test_tau_requires_stability(self, cycle4):
         with pytest.raises(ValueError, match="stable"):
@@ -212,7 +212,7 @@ class TestRecurrents:
 class TestGuardReachesEveryStabilization:
     def test_recurrents(self):
         path = SandpileGraph.from_text(PATH5)
-        assert sandpile_recurrents(path) == [(0, 0, 0, 0, 0)]
+        assert list(sandpile_recurrents(path)) == [(0, 0, 0, 0, 0)]
         with pytest.raises(GuardExceeded):
             sandpile_recurrents(path, guard=2)
 
