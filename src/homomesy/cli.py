@@ -379,12 +379,11 @@ def _emit_report(args, bundle: Bundle, report, verdict: bool) -> None:
 def _check_expectation(args, homomesic: bool, c) -> int:
     if args.expect_c is None:
         return EXIT_OK
-    expected = parse_rational_vector(args.expect_c)  # a ValueError exits 2
     if not homomesic:
         print(f"expectation failed: not homomesic (expected c = {args.expect_c})",
               file=sys.stderr)
         return EXIT_EXPECTATION
-    if tuple(c) != expected:
+    if tuple(c) != args.expected_c:
         got = ", ".join(format_rational(v) for v in c)
         print(f"expectation failed: c = {got}, expected {args.expect_c}",
               file=sys.stderr)
@@ -549,6 +548,8 @@ def main(argv=None) -> int:
             raise UsageError("--guard must be a positive integer")
         if args.expect_c is not None and args.command != "check":
             raise UsageError(f"--expect-c applies only to 'check', not to {args.command!r}")
+        # parsed before the sweep, so a malformed value costs no run; a ValueError exits 2
+        args.expected_c = None if args.expect_c is None else parse_rational_vector(args.expect_c)
         for flag, value in (("--seed", args.seed), ("--stat", args.stat)):
             if value is not None and args.command == "subspace":
                 raise UsageError(f"'subspace' searches the indicator statistics of the whole "

@@ -12,8 +12,9 @@ configurations are refused over the guard from the product of the
 out-degrees.
 
 Graph text format (see SandpileGraph.from_text): one directed edge bundle
-per line as "v w count", plus the headers "sink t" and "source s". Vertex
-order, hence configuration order, is first appearance in the edge lines.
+per line as "v w count", plus the headers "sink t" and "source s", once
+each. Vertex order, hence configuration order, is first appearance in the
+edge lines.
 """
 from __future__ import annotations
 
@@ -78,24 +79,26 @@ class SandpileGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "SandpileGraph":
-        sink = source = None
+        headers: dict = {}
         edges = []
-        for raw in text.splitlines():
+        for number, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
-            if parts[0] == "sink" and len(parts) == 2:
-                sink = parts[1]
-            elif parts[0] == "source" and len(parts) == 2:
-                source = parts[1]
-            elif len(parts) == 3:
-                edges.append((parts[0], parts[1], int(parts[2])))
-            else:
-                raise ValueError(f"unparseable sandpile line: {raw!r}")
-        if sink is None or source is None:
+            if parts[0] in ("sink", "source") and len(parts) == 2:
+                if parts[0] in headers:
+                    raise ValueError(f"repeated {parts[0]!r} header on line {number}: {raw!r}")
+                headers[parts[0]] = parts[1]
+                continue
+            try:
+                v, w, count = parts
+                edges.append((v, w, int(count)))
+            except ValueError:
+                raise ValueError(f"unparseable sandpile line: {raw!r}") from None
+        if len(headers) < 2:
             raise ValueError("graph text needs both a 'sink' and a 'source' header")
-        return cls(edges, sink, source)
+        return cls(edges, headers["sink"], headers["source"])
 
     @classmethod
     def from_file(cls, path) -> "SandpileGraph":
@@ -188,7 +191,7 @@ def sandpile_tau(graph: SandpileGraph, config, guard: int | None = None):
 
 def stable_configurations(graph: SandpileGraph, guard: int | None = None):
     check_space_size("the graph", product_factors(graph._degree), "stable configurations", guard)
-    return [tuple(c) for c in iter_product(*map(range, graph._degree))]
+    return list(iter_product(*map(range, graph._degree)))
 
 
 def sandpile_recurrents(graph: SandpileGraph, guard: int | None = None) -> dict:

@@ -44,22 +44,19 @@ def require_member(n: int, diagram) -> tuple:
 
 
 def staircase_diagrams(n: int, guard: int | None = None) -> list[Partition]:
-    """All 2^(n-1) members of Y_n, sorted."""
+    """All 2^(n-1) members of Y_n, in lexicographic order: a depth-first
+    walk appends parts no larger than the last one and pops the smaller next
+    part first, so each diagram is built once, after all that sort before it."""
     if n < 1:
         raise ValueError("need n >= 1")
     check_space_size(f"Y_{n}", power_factors(2, n - 1), "diagrams", guard)
     out = [()]
-    stack = [(p,) for p in range(1, n)]
+    stack = [(p,) for p in range(n - 1, 0, -1)]
     while stack:
         diagram = stack.pop()
         out.append(diagram)
-        head = diagram[-1]
-        for p in range(1, head + 1):
-            if diagram[0] + len(diagram) + 1 <= n:
-                stack.append(diagram + (p,))
-    # the growth rule above appends parts <= the current last part, so
-    # every weakly decreasing diagram within the staircase shows up once
-    out = sorted(set(out))
+        if diagram[0] + len(diagram) < n:
+            stack += [diagram + (p,) for p in range(diagram[-1], 0, -1)]
     if len(out) != 2 ** (n - 1):
         raise AssertionError("staircase enumeration miscounted")
     return out

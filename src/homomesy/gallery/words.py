@@ -87,5 +87,5 @@ def reversal_inversions_system(n: int, guard: int | None = None):
     if n < 1:
         raise ValueError("need n >= 1")
     check_space_size(f"S_{n}", factorial_factors(n), "permutations", guard)
-    space = [tuple(p) for p in permutations(range(1, n + 1))]
+    space = list(permutations(range(1, n + 1)))
     return space, reversal, Statistic.scalar("inversions", inversions)

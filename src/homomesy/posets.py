@@ -197,31 +197,22 @@ class FinitePoset:
     def enumerate_order_ideals(self, guard: int | None = None) -> list[OrderIdeal]:
         """All order ideals, sorted by ascending mask value.
 
-        Breadth-first walk of the ideal lattice from the empty ideal; raises
-        GuardExceeded once more than `guard` states have been found.
+        One sweep along the linear extension: every prefix is an ideal, and
+        the ideals of the next prefix are the old ones plus its new element
+        i added to each old ideal that holds all of i's lower covers. So
+        each ideal is built once; one sort at the end puts them in mask
+        order, which the extension need not follow. Raises GuardExceeded
+        once more than `guard` ideals are found.
         """
         guard = DEFAULT_ENUMERATION_GUARD if guard is None else guard
-        n = len(self.elements)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for mask in frontier:
-                for i in range(n):
-                    if mask >> i & 1:
-                        continue
-                    if self.down_covers[i] & ~mask:
-                        continue
-                    new = mask | (1 << i)
-                    if new not in seen:
-                        if len(seen) >= guard:
-                            raise GuardExceeded(
-                                f"more than {guard} order ideals; raise the guard to proceed"
-                            )
-                        seen.add(new)
-                        nxt.append(new)
-            frontier = nxt
-        return [OrderIdeal(m) for m in sorted(seen)]
+        ideals = [OrderIdeal(0)]
+        for i in self._extension:
+            covers, bit = self.down_covers[i], 1 << i
+            ideals += [OrderIdeal(m | bit) for m in ideals if m & covers == covers]
+            if len(ideals) > guard:
+                raise GuardExceeded(f"more than {guard} order ideals; raise the guard to proceed")
+        ideals.sort()
+        return ideals
 
     def enumerate_antichains(self, guard: int | None = None) -> list[Antichain]:
         """All antichains, sorted by ascending mask value.
@@ -335,16 +326,16 @@ class GridPoset(FinitePoset):
         check_grid_guard(self.a, self.b, guard)
         b = self.b
         # starts[r]: where the masks whose top row has length >= r begin
-        masks, starts = [0], [0] * (b + 1)
+        masks, starts = [OrderIdeal(0)], [0] * (b + 1)
         for shift in range(0, self.a * b, b):
             # an empty new row keeps every mask as it is; longer ones append
             end, starts_next = len(masks), [0]
             for r in range(1, b + 1):
                 starts_next.append(len(masks))
                 row = ((1 << r) - 1) << shift
-                masks += [row | m for m in masks[starts[r]:end]]
+                masks += [OrderIdeal(row | m) for m in masks[starts[r]:end]]
             starts = starts_next
-        return [OrderIdeal(m) for m in masks]
+        return masks
 
     def down_closure(self, generators) -> OrderIdeal:
         m = generators

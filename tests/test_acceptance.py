@@ -1,4 +1,4 @@
-"""The thirteen acceptance checks, one test per criterion.
+"""The fourteen acceptance checks, one test per criterion.
 
 Every comparison here is exact: Fraction/int equality, never a tolerance.
 Each test prints one "[criterion NN] PASS/FAIL" line (visible under -s;
@@ -56,7 +56,7 @@ from homomesy.gallery.suter import (
     weight_statistic,
 )
 from homomesy.gallery.words import ballot_system, cyclic_inversions_system
-from homomesy.posets import GridPoset, OrderIdeal
+from homomesy.posets import FinitePoset, GridPoset, OrderIdeal
 
 
 @contextlib.contextmanager
@@ -440,3 +440,25 @@ def test_criterion_13_decomposition():
             for orbit in orbit_partition(tau, space):
                 avg = orbit_average(stat, orbit)
                 assert all(f_mean(s) == avg for s in orbit.states)
+
+
+def root_poset(n):
+    """The positive roots of A_n as a plain FinitePoset: the intervals
+    [i, j] with 1 <= i <= j <= n, where [i, j] is covered by [i - 1, j] and
+    by [i, j + 1]. Listed by (i, j), which is not a linear extension."""
+    roots = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    covers = [((i, j), y) for i, j in roots
+              for y in ((i - 1, j), (i, j + 1)) if 1 <= y[0] and y[1] <= n]
+    return FinitePoset(roots, covers)
+
+
+def test_criterion_14_root_poset_antichains():
+    with criterion(14, "rowmotion on the antichains of the A_n root poset is n/2-mesic"):
+        for n in range(1, 8):
+            poset = root_poset(n)
+            chains = poset.enumerate_antichains()
+            assert len(chains) == comb(2 * n + 2, n + 1) // (n + 2)  # Catalan(n + 1)
+            report = check_homomesy(lambda s, p=poset: rowmotion_antichain(p, s), chains,
+                                    Statistic.scalar("antichain-size", len))
+            assert report.homomesic
+            assert report.c == (Fraction(n, 2),)

@@ -63,6 +63,16 @@ class TestCheck:
         assert code == 4
         assert "expectation failed" in err
 
+    @pytest.mark.parametrize("argv, value", [
+        (("grid-rowmotion-ideals", "--a", "2", "--b", "2"), "x"),
+        (("lyness",), "1/0"),
+    ], ids=["grid", "lyness"])
+    def test_malformed_expectation_is_refused_before_the_sweep(self, capsys, argv, value):
+        code, out, err = run(capsys, "check", *argv, "--expect-c", value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: not a rational: {value!r}\n"
+
     def test_non_homomesic_system_with_expectation_exits_4(self, capsys):
         code, out, err = run(capsys, "check", "grid-promotion-antichains",
                              "--a", "3", "--b", "2", "--expect-c", "6/5")
@@ -246,6 +256,19 @@ class TestCheck:
         code, out, err = run(capsys, "check", "sandpile", "--graph",
                              str(tmp_path / "nope.graph"))
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        (CYCLE4 + "1 3 x\n", "unparseable sandpile line: '1 3 x'"),
+        (CYCLE4 + "sink 1\n", "repeated 'sink' header on line 11: 'sink 1'"),
+        (CYCLE4 + "source 3\n", "repeated 'source' header on line 11: 'source 3'"),
+    ], ids=["edge-count", "second-sink", "second-source"])
+    def test_sandpile_bad_graph_line_is_named(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", "sandpile", "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestOrbits:

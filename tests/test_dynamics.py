@@ -85,7 +85,7 @@ def small_posets(draw):
 
 
 def assert_toggles_flip_when_the_result_is_an_ideal(poset):
-    ideals = poset.enumerate_order_ideals()  # the walk reads the covers, not the kernels
+    ideals = poset.enumerate_order_ideals()  # the sweep reads the covers, not the kernels
     for ideal in ideals:
         for x in poset.elements:
             flipped = ideal ^ poset.element_mask((x,))

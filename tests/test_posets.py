@@ -304,7 +304,7 @@ class TestGridPoset:
 
     def test_enumeration_never_runs_the_generic_walk(self, monkeypatch):
         def refuse(self, guard=None):
-            raise AssertionError("the generic ideal walk ran")
+            raise AssertionError("the generic ideal sweep ran")
 
         monkeypatch.setattr(FinitePoset, "enumerate_order_ideals", refuse)
         poset = GridPoset(4, 5)
@@ -455,9 +455,47 @@ def posets_line_events(fn) -> int:
     return count
 
 
+@st.composite
+def drawn_posets(draw):
+    """A poset on 0..n-1, n <= 8, whose covers follow a drawn order of the
+    elements, so index order need not be a linear extension."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    covers = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return FinitePoset(range(n), covers)
+
+
+class TestGenericSweep:
+    """FinitePoset builds each ideal once along its linear extension and
+    sorts once; TestGridKernelsMatchGeneric and the toggle tests compare
+    against it."""
+
+    @given(drawn_posets())
+    def test_enumerations_match_the_mask_checks(self, poset):
+        masks = range(poset.full_mask + 1)
+        ideals = poset.enumerate_order_ideals()
+        assert ideals == [m for m in masks if poset.is_ideal_mask(m)]
+        assert all(type(i) is OrderIdeal for i in ideals)
+        chains = poset.enumerate_antichains()
+        assert chains == [m for m in masks if poset.is_antichain_mask(m)]
+        assert all(type(c) is Antichain for c in chains)
+
+    def test_each_ideal_costs_a_few_line_events(self):
+        poset = FinitePoset(range(12), [])
+        events = posets_line_events(poset.enumerate_order_ideals)
+        assert events < 4 * 4096
+
+    def test_guard_edge(self):
+        poset = FinitePoset(range(8), [])
+        with pytest.raises(GuardExceeded, match="more than 255 order ideals"):
+            poset.enumerate_order_ideals(guard=255)
+        assert len(poset.enumerate_order_ideals(guard=256)) == 256
+
+
 class TestThinGrids:
     """[a]x[1] and [1]x[b] hold only a + 1 or b + 1 ideals; building the
-    poset and listing them stays linear in that count. The generic walk
+    poset and listing them stays linear in that count. The generic sweep
     checks their results in TestGridKernelsMatchGeneric."""
 
     def test_file_masks_scan_only_their_own_rows(self):

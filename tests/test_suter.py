@@ -28,6 +28,7 @@ def test_enumeration_count(n):
     diagrams = staircase_diagrams(n)
     assert len(diagrams) == 2 ** (n - 1)
     assert len(set(diagrams)) == len(diagrams)
+    assert diagrams == sorted(diagrams)
     assert all(is_staircase_member(n, d) for d in diagrams)
 
 
