@@ -17,6 +17,10 @@ inversions (cyclic-inversions, reversal-inversions), firing-vector
 cells:r,c;r,c with 1-based cells (ssyt). A malformed PARAM, an empty one
 included, exits 2 and names the grammar.
 
+A --seed or --expect-c value that starts with '-' takes the '=' form
+(--seed=-+-+, --seed=-1/2,3, --expect-c=-1/2); argparse reads a bare
+leading '-' as a flag.
+
 --expect-c applies only to 'check'; the other commands reject it, and
 'subspace' rejects --seed and --stat too. A system rejects any of
 --a/--b/--n/--k/--graph that it does not read. Exit codes: 0 success, 2 usage,
@@ -189,6 +193,8 @@ def _sandpile_bundle(args) -> Bundle:
         graph = SandpileGraph.from_file(args.graph)
     except OSError as exc:
         raise UsageError(f"cannot read graph file: {exc}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read graph file: {args.graph!r} is not UTF-8 text") from None
     successor = sandpile_recurrents(graph, args.guard)  # tau on the recurrents
 
     def parse_seed(text):

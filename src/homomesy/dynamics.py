@@ -8,17 +8,16 @@ Conventions fixed here once and used everywhere:
 * promotion toggles files left to right (file 1-a through file b-1),
   bottom to top inside each file,
 * the sign word of an ideal reads the height function's increments left to
-  right, so promotion acts as a leftward cyclic shift and rowmotion as the
-  block/gap reversal implemented below,
+  right, so promotion acts as (and is computed as) a leftward cyclic shift
+  and rowmotion as the block/gap reversal implemented below,
 * the Stanley-Thomas word of an antichain carries rowmotion to a rightward
   cyclic shift.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
-from .posets import Antichain, FinitePoset, GridPoset, OrderIdeal, iter_bits
+from .posets import Antichain, FinitePoset, GridPoset, OrderIdeal
 
 PLUS, MINUS = 1, -1
 
@@ -92,19 +91,19 @@ def rowmotion_antichain(poset: FinitePoset, antichain: Antichain) -> Antichain:
 # -- promotion ---------------------------------------------------------------
 
 def promotion_ideal(poset: GridPoset, ideal: OrderIdeal) -> OrderIdeal:
-    """Promotion on order ideals of [a] x [b]: file toggles, left to right."""
+    """Promotion on order ideals of [a] x [b]: file toggles, left to right.
+
+    These rotate the sign word, the partition's boundary read top row first
+    (+1 along a row, -1 down a row), one letter left (Striker-Williams 2012).
+    A leading +1 means (a, 1) is in I: every row loses its first element.
+    A leading -1 means the top row is empty: the rows move up one and a
+    full row enters at the bottom.
+    """
     if not isinstance(poset, GridPoset):
         raise ValueError("promotion is defined on grid posets")
-    # a file holds no cover relation, so its toggles commute and run as one
-    # mask: flip the members that are maximal in the ideal or minimal in its
-    # complement (GridPoset.maximal_elements, minimal_elements_of_complement)
-    m, b, full = ideal, poset.b, poset.full_mask
-    col1, lastcol, row1 = poset.col1, poset.lastcol, poset.row1
-    for f in poset._file_masks.values():  # files left to right
-        top = m & ~((m >> 1) & ~lastcol) & ~(m >> b)
-        bottom = ~m & (((m << 1) & ~col1) | col1) & (((m << b) & full) | row1)
-        m ^= f & (top | bottom)
-    return OrderIdeal(m)
+    if ideal >> (poset.a - 1) * poset.b & 1:
+        return OrderIdeal((ideal >> 1) & ~poset.lastcol)
+    return OrderIdeal((ideal << poset.b) & poset.full_mask | poset.row1)
 
 
 def promotion_antichain(poset: GridPoset, antichain: Antichain) -> Antichain:
@@ -137,9 +136,8 @@ class HeightFunction:
 
 
 def height_function(poset: GridPoset, ideal: OrderIdeal) -> HeightFunction:
-    files = poset._file_masks  # -a and b are no file: h(-a) = a, h(b) = b
-    return HeightFunction(poset.a, poset.b, tuple(
-        abs(k) + 2 * (ideal & files.get(k, 0)).bit_count() for k in range(-poset.a, poset.b + 1)))
+    inner = (abs(k) + 2 * (ideal & poset.file_mask(k)).bit_count() for k in poset.files)
+    return HeightFunction(poset.a, poset.b, (poset.a, *inner, poset.b))  # h(-a) = a, h(b) = b
 
 
 def sign_word(poset: GridPoset, ideal: OrderIdeal) -> tuple[int, ...]:
@@ -149,16 +147,14 @@ def sign_word(poset: GridPoset, ideal: OrderIdeal) -> tuple[int, ...]:
 
 
 def ideal_from_sign_word(poset: GridPoset, word) -> OrderIdeal:
-    """Inverse of sign_word; validates the letter multiset."""
-    word = require_pm_word(word, poset.a, poset.b)
-    mask = 0
-    height = poset.a
-    for pos, letter in enumerate(word, start=1):
-        height += letter
-        k = pos - poset.a  # file index of the step just closed
-        if 1 - poset.a <= k <= poset.b - 1:
-            count = (height - abs(k)) // 2  # the lowest members of file k
-            mask |= sum(1 << i for i in islice(iter_bits(poset._file_masks[k]), count))
+    """Inverse of sign_word; validates the letter multiset. Top row first,
+    each -1 closes a row as long as the +1s seen so far."""
+    mask = length = 0
+    for letter in require_pm_word(word, poset.a, poset.b):
+        if letter == PLUS:
+            length += 1
+        else:
+            mask = mask << poset.b | (1 << length) - 1
     return OrderIdeal(mask)
 
 

@@ -202,15 +202,17 @@ class FinitePoset:
         i added to each old ideal that holds all of i's lower covers. So
         each ideal is built once; one sort at the end puts them in mask
         order, which the extension need not follow. Raises GuardExceeded
-        once more than `guard` ideals are found.
+        before a step would pass `guard` ideals, so none of that step's
+        ideals is built.
         """
         guard = DEFAULT_ENUMERATION_GUARD if guard is None else guard
         ideals = [OrderIdeal(0)]
         for i in self._extension:
             covers, bit = self.down_covers[i], 1 << i
-            ideals += [OrderIdeal(m | bit) for m in ideals if m & covers == covers]
-            if len(ideals) > guard:
+            grown = [m for m in ideals if m & covers == covers]
+            if len(ideals) + len(grown) > guard:
                 raise GuardExceeded(f"more than {guard} order ideals; raise the guard to proceed")
+            ideals += [OrderIdeal(m | bit) for m in grown]
         ideals.sort()
         return ideals
 
@@ -253,9 +255,6 @@ class GridPoset(FinitePoset):
         self.full_mask = (1 << a * b) - 1
         self._extension = range(a * b)  # lexicographic order: the least linear extension
         # masks for the kernels
-        self._file_masks = {f: self.element_mask((k, k + f) for k in
-                                                 range(max(1, 1 - f), min(a, b - f) + 1))
-                            for f in self.files}
         self.col1 = self.element_mask(self.negative_fiber(1))
         self.lastcol = self.element_mask(self.negative_fiber(b))
         self.row1 = self.element_mask(self.positive_fiber(1))
@@ -291,8 +290,10 @@ class GridPoset(FinitePoset):
         return self.members(self.file_mask(f))
 
     def file_mask(self, f: int) -> int:
+        """Mask of file f: the elements (k, k + f), over its own rows only."""
         self._check_file(f)
-        return self._file_masks[f]
+        rows = range(max(1, 1 - f), min(self.a, self.b - f) + 1)
+        return sum(1 << (k - 1) * (self.b + 1) + f for k in rows)  # the bit of (k, k + f)
 
     def positive_fiber(self, k: int) -> tuple:
         """The chain {(k, l) : 1 <= l <= b}."""

@@ -257,6 +257,16 @@ class TestCheck:
                              str(tmp_path / "nope.graph"))
         assert code == 2
 
+    def test_sandpile_graph_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "binary.graph"
+        path.write_bytes(b"\xff\xfe\n")
+        code, out, err = run(capsys, "check", "sandpile", "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot read graph file")
+        assert str(path) in err and "not UTF-8" in err
+
     @pytest.mark.parametrize("text, message", [
         (CYCLE4 + "1 3 x\n", "unparseable sandpile line: '1 3 x'"),
         (CYCLE4 + "sink 1\n", "repeated 'sink' header on line 11: 'sink 1'"),
@@ -494,6 +504,11 @@ class TestLyness:
         assert code == 0
         code, out, err = run(capsys, "check", "lyness", "--expect-c", "1")
         assert code == 4
+
+    def test_negative_seed_in_the_equals_form(self, capsys):
+        code, out, err = run(capsys, "check", "lyness", "--seed=-1/2,3")
+        assert code == 0
+        assert "homomesic: yes" in out
 
     def test_invalid_seed(self, capsys):
         code, out, err = run(capsys, "check", "lyness", "--seed", "0,3")

@@ -249,6 +249,15 @@ class TestGridKernelsMatchGeneric:
             for tau in (rowmotion_antichain, promotion_antichain):
                 assert type(tau(poset, chain)) is Antichain
 
+    @pytest.mark.parametrize("a,b", [(1, b) for b in range(1, 13)] + [(a, 1) for a in range(2, 13)]
+                             + [(2, 9), (9, 2)])
+    def test_promotion_on_thin_grids(self, a, b):
+        # the rotation's edge cases: the top row is the bottom row, or the
+        # last column is the first
+        poset = GridPoset(a, b)
+        for ideal in poset.enumerate_order_ideals():
+            assert promotion_ideal(poset, ideal) == reference_promotion_ideal(poset, ideal)
+
     def test_promotion_never_toggles_one_element(self, monkeypatch):
         def refuse(poset, ideal, i):
             raise AssertionError("a single-element toggle ran")

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from homomesy import posets
+from homomesy import dynamics, posets
 from homomesy.guards import GuardExceeded
 from homomesy.posets import Antichain, FinitePoset, GridPoset, OrderIdeal, iter_bits
 
@@ -423,6 +423,17 @@ class TestGridBuildsNoGenericTables:
         assert len(grid) == 3000
         assert held < 2_500_000
 
+    def test_no_mask_per_file(self):
+        # a mask per file would hold O((a + b) * ab) bits: 30 MiB here
+        tracemalloc.start()
+        try:
+            grid = GridPoset(1, 20000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 20000
+        assert held < 5_000_000
+
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 16 - 1))
 def test_down_closure_of_any_mask_matches_brute_force(a, b, bits):
@@ -435,6 +446,12 @@ def test_down_closure_of_any_mask_matches_brute_force(a, b, bits):
 def posets_line_events(fn) -> int:
     """Line events that fn() runs in posets.py: a count of the Python-level
     steps the grid code takes, which no clock speed can blur."""
+    return line_events(fn, posets)
+
+
+def line_events(fn, *modules) -> int:
+    """Line events that fn() runs in the given modules."""
+    files = {module.__file__ for module in modules}
     count = 0
 
     def local(frame, event, arg):
@@ -444,7 +461,7 @@ def posets_line_events(fn) -> int:
         return local
 
     def tracer(frame, event, arg):
-        return local if frame.f_code.co_filename == posets.__file__ else None
+        return local if frame.f_code.co_filename in files else None
 
     previous = sys.gettrace()
     sys.settrace(tracer)
@@ -453,6 +470,19 @@ def posets_line_events(fn) -> int:
     finally:
         sys.settrace(previous)
     return count
+
+
+class TestPromotionCost:
+    def test_one_step_costs_the_same_on_any_width(self):
+        # two shifts and a branch: no loop over the a + b - 1 files; (2, 1)
+        # in the ideal takes one branch, (1, 1) alone the other
+        def one_step(a, b, generator):
+            poset = GridPoset(a, b)
+            ideal = poset.down_closure([generator])
+            return line_events(lambda: dynamics.promotion_ideal(poset, ideal), dynamics, posets)
+
+        for generator in ((1, 1), (2, 1)):
+            assert one_step(2, 400, generator) == one_step(2, 20, generator)
 
 
 @st.composite
@@ -492,6 +522,23 @@ class TestGenericSweep:
             poset.enumerate_order_ideals(guard=255)
         assert len(poset.enumerate_order_ideals(guard=256)) == 256
 
+    def test_a_refused_step_builds_none_of_its_ideals(self, monkeypatch):
+        # the last of 17 steps would double 65,536 ideals past the guard
+        built = 0
+
+        class Counted(OrderIdeal):
+            __slots__ = ()
+
+            def __new__(cls, mask):
+                nonlocal built
+                built += 1
+                return super().__new__(cls, mask)
+
+        monkeypatch.setattr(posets, "OrderIdeal", Counted)
+        with pytest.raises(GuardExceeded, match="more than 70000 order ideals"):
+            FinitePoset(range(17), []).enumerate_order_ideals(guard=70000)
+        assert built <= 70001
+
 
 class TestThinGrids:
     """[a]x[1] and [1]x[b] hold only a + 1 or b + 1 ideals; building the
@@ -503,6 +550,14 @@ class TestThinGrids:
         small = posets_line_events(lambda: GridPoset(200, 1))
         large = posets_line_events(lambda: GridPoset(400, 1))
         assert large < 3 * small
+
+    def test_each_file_mask_scans_only_its_own_rows(self):
+        def all_file_masks(poset):
+            return lambda: [poset.file_mask(f) for f in poset.files]
+
+        small, large = GridPoset(200, 1), GridPoset(400, 1)
+        assert posets_line_events(all_file_masks(large)) < \
+            3 * posets_line_events(all_file_masks(small))
 
     def test_an_empty_new_row_copies_no_mask(self):
         # an empty new row keeps the masks below it; only longer rows build new ones
