@@ -482,16 +482,23 @@ def _named_generators(poset: GridPoset, on_ideals: bool):
                for x, y in pairs if x < y])
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
 def run_subspace(args) -> int:
     if SYSTEMS[args.system][1] is not _grid_bundle:
         raise UsageError("'subspace' is available for the grid systems only")
     bundle = build_bundle(args)
     poset, elements = bundle.poset, bundle.poset.elements
-    bits = range(len(elements))  # element i is bit i of the mask
-    indicators = Statistic("indicators", len(bits), lambda s: [s >> i & 1 for i in bits])
+    spec = f"0{len(elements)}b"
+
+    def bits(mask) -> bytes:
+        # the binary digits lowest first, as bytes 0 and 1: element i is bit i
+        return format(mask, spec)[::-1].encode().translate(_BIT_VALUES)
+
+    indicators = Statistic("indicators", len(elements), bits)
     vectors = homomesic_subspace(bundle.tau, bundle.space, indicators, args.guard)
-    checked = [(name, in_reduced_span([(plus >> i & 1) - (minus >> i & 1) for i in bits],
-                                      vectors))
+    checked = [(name, in_reduced_span(list(map(int.__sub__, bits(plus), bits(minus))), vectors))
                for name, plus, minus in _named_generators(poset, args.system.endswith("-ideals"))]
     def doc():
         return {

@@ -136,14 +136,29 @@ class HeightFunction:
 
 
 def height_function(poset: GridPoset, ideal: OrderIdeal) -> HeightFunction:
-    inner = (abs(k) + 2 * (ideal & poset.file_mask(k)).bit_count() for k in poset.files)
-    return HeightFunction(poset.a, poset.b, (poset.a, *inner, poset.b))  # h(-a) = a, h(b) = b
+    """Partial sums of the sign word, from h(-a) = a; they end at h(b) = b."""
+    values = [poset.a]
+    for letter in sign_word(poset, ideal):
+        values.append(values[-1] + letter)
+    return HeightFunction(poset.a, poset.b, tuple(values))
 
 
 def sign_word(poset: GridPoset, ideal: OrderIdeal) -> tuple[int, ...]:
-    """Increments of the height function: a+b letters from {+1, -1}."""
-    h = height_function(poset, ideal).values
-    return tuple(h[i] - h[i - 1] for i in range(1, len(h)))
+    """Increments of the height function: a+b letters from {+1, -1}.
+
+    This is the partition's boundary, read from its row lengths in O(a+b)
+    steps: top row (row a) first, +1 along a row, -1 down a row, and the
+    +1s past the longest row last. ideal_from_sign_word reads it back.
+    """
+    b, row = poset.b, (1 << poset.b) - 1
+    word, previous = [], 0
+    for k in reversed(range(poset.a)):
+        length = (ideal >> k * b & row).bit_count()
+        word += [PLUS] * (length - previous)
+        word.append(MINUS)
+        previous = length
+    word += [PLUS] * (b - previous)
+    return tuple(word)
 
 
 def ideal_from_sign_word(poset: GridPoset, word) -> OrderIdeal:

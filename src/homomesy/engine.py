@@ -3,11 +3,13 @@
 Works over any finite invertible dynamical system whose states are
 hashable and mutually comparable (the smallest state of an orbit is its
 canonical representative). A statistic value is an int or a Fraction;
-anything else, a float included, raises. Check, decomposition and subspace
-all average through orbit_average: orbit sums stay exact ints (or
-Fractions) and each orbit component costs one Fraction division. The
-subspace search takes the kernel of the rows (-1, orbit average) by
-fraction-free integer elimination and makes Fractions only for the result.
+anything else, a float included, raises. The check is one C-level pass
+over the types of a value's entries, not one isinstance per entry.
+Check, decomposition and subspace all average through orbit_average: orbit
+sums stay exact ints (or Fractions) and each orbit component costs one
+Fraction division. The subspace search drops repeated orbit rows, takes the
+kernel of the rows (-1, orbit average) by fraction-free integer elimination
+and makes Fractions only for the result.
 """
 from __future__ import annotations
 
@@ -20,10 +22,24 @@ from .guards import DEFAULT_ORBIT_GUARD, GuardExceeded
 from .rationals import exact, format_rational
 
 
+_EXACT = (int, Fraction)
+_BARE_EXACT = frozenset(_EXACT)
+
+
+def _all_exact(values) -> bool:
+    """Whether every value is an int or a Fraction, subclasses (bool)
+    included: one C-level pass over the values' types, and only a type
+    other than int and Fraction sends them through isinstance one by one."""
+    return _BARE_EXACT.issuperset(map(type, values)) or all(isinstance(v, _EXACT) for v in values)
+
+
 def _as_vector(value, dimension: int) -> tuple:
-    vec = (value,) if isinstance(value, (int, Fraction, float, str)) else tuple(value)
-    for v in vec:
-        if not isinstance(v, (int, Fraction)):
+    if isinstance(value, _EXACT):  # a scalar: bare int first, then the subclasses
+        vec = (value,)
+    else:
+        vec = (value,) if isinstance(value, (float, str)) else tuple(value)
+        if not _all_exact(vec):
+            v = next(v for v in vec if not isinstance(v, _EXACT))
             raise TypeError(f"statistic value {v!r} is a {type(v).__name__}, not exact")
     if len(vec) != dimension:
         raise ValueError(f"statistic value has dimension {len(vec)}, declared {dimension}")
@@ -34,9 +50,14 @@ def _as_vector(value, dimension: int) -> tuple:
 class Statistic:
     """A named exact statistic: state -> vector of rationals.
 
-    fn may return an int, a Fraction, or a sequence of them, which come back
-    unconverted as a tuple; the declared dimension is enforced on every
-    evaluation and any other value (a float, a digit string) is rejected.
+    fn may return an int, a Fraction, or a sequence of them (bytes of 0/1
+    included), which come back unconverted as a tuple; the declared
+    dimension is enforced on every evaluation and any other value (a float,
+    a digit string) is rejected. A scalar int or Fraction (or a subclass,
+    bool included) is wrapped at once; a sequence is checked in one pass
+    over its entries' types, and only a type other than int and Fraction
+    sends the entries through isinstance one by one, which names the first
+    offender.
     """
 
     name: str
@@ -258,22 +279,38 @@ def in_reduced_span(vector, kernel) -> bool:
     Each basis vector there is 1 at its free column, which is its last
     nonzero entry, and 0 at every other free column. So the only candidate
     combination weights each basis vector by vector's entry at that
-    basis vector's free column.
+    basis vector's free column. Int and Fraction entries are used as they
+    are; any other entry goes through exact, which refuses floats.
     """
-    combination = [Fraction(0)] * len(vector)
+    vector = _exact_row(vector)
+    combination = [0] * len(vector)
     for basis_vector in kernel:
         if len(basis_vector) != len(vector):
             raise ValueError("vector and basis have different lengths")
-        free = max(i for i, v in enumerate(basis_vector) if v != 0)
-        weight = exact(vector[free])
+        basis_vector = _exact_row(basis_vector)
+        free = len(basis_vector) - 1
+        while free >= 0 and not basis_vector[free]:
+            free -= 1
+        if free < 0:
+            raise ValueError("a basis vector is zero")
+        weight = vector[free]
         if weight:
             for i, v in enumerate(basis_vector):
-                combination[i] += weight * v
-    return all(exact(v) == w for v, w in zip(vector, combination))
+                if v:
+                    combination[i] += weight * v
+    return combination == vector
 
 
-def _to_fraction_rows(rows, num_columns):
-    mat = [[exact(v) for v in row] for row in rows]
+def _exact_row(values) -> list:
+    """values as a list of ints and Fractions; only a row that holds some
+    other value is coerced, through exact."""
+    values = list(values)
+    return values if _all_exact(values) else [exact(v) for v in values]
+
+
+def _exact_rows(rows, num_columns):
+    """The rows as lists of ints and Fractions, and their width."""
+    mat = [_exact_row(row) for row in rows]
     widths = {len(row) for row in mat}
     if len(widths) > 1:
         raise ValueError("matrix rows have inconsistent lengths")
@@ -287,22 +324,27 @@ def _to_fraction_rows(rows, num_columns):
     return mat, num_columns
 
 
+def _integer_row(entries) -> tuple[int, ...]:
+    """An exact row times the lcm of its denominators."""
+    scale = lcm(*(v.denominator for v in entries))
+    return tuple(v.numerator * (scale // v.denominator) for v in entries)
+
+
 def rational_nullspace(rows, num_columns: int | None = None) -> list[tuple[Fraction, ...]]:
     """Exact kernel basis of a rational matrix, in canonical reduced form.
 
     Fraction-free elimination (Bareiss, "Sylvester's identity and multistep
     integer-preserving Gaussian elimination", Math. Comp. 1968): each row is
-    scaled to integers and reduced against a basis of primitive integer rows,
-    one per pivot column, each zero before its pivot and at every other
-    pivot. The kernel is then built once: one basis vector per free column
-    f, with a 1 at f, 0 at the other free columns and -b[f]/b[c] at the
-    pivot c of each basis row b.
+    scaled to integers, and a repeated integer row, which adds nothing to the
+    kernel, is dropped before elimination. Each distinct row is reduced
+    against a basis of primitive integer rows, one per pivot column, each
+    zero before its pivot and at every other pivot. The kernel is then built
+    once: one basis vector per free column f, with a 1 at f, 0 at the other
+    free columns and -b[f]/b[c] at the pivot c of each basis row b.
     """
-    mat, ncols = _to_fraction_rows(rows, num_columns)
+    mat, ncols = _exact_rows(rows, num_columns)
     basis: dict[int, list[int]] = {}
-    for entries in mat:
-        scale = lcm(*(v.denominator for v in entries))
-        row = [v.numerator * (scale // v.denominator) for v in entries]
+    for row in dict.fromkeys(map(_integer_row, mat)):
         for c, b in basis.items():
             if row[c]:
                 k, m = b[c], row[c]

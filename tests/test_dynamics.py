@@ -276,14 +276,26 @@ def reference_height_values(poset, ideal):
     return tuple(abs(k) + 2 * counts.get(k, 0) for k in range(-poset.a, poset.b + 1))
 
 
+def reference_file_mask_heights(poset, ideal):
+    """The height function as it was read before it took the partition's row
+    lengths: one file mask per file, h(-a) = a and h(b) = b."""
+    inner = (abs(k) + 2 * (ideal & poset.file_mask(k)).bit_count() for k in poset.files)
+    return (poset.a, *inner, poset.b)
+
+
 class TestHeightFunction:
     @pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 7) for b in range(1, 7)])
     def test_matches_the_pair_counting_loop(self, a, b):
+        # and the file-mask formula that sign_word read before it took the
+        # partition's row lengths
         poset = GridPoset(a, b)
         for ideal in poset.enumerate_order_ideals():
             h = height_function(poset, ideal)
             assert h.values == reference_height_values(poset, ideal)
-            assert ideal_from_sign_word(poset, sign_word(poset, ideal)) == ideal
+            assert h.values == reference_file_mask_heights(poset, ideal)
+            word = sign_word(poset, ideal)
+            assert word == tuple(h.values[i] - h.values[i - 1] for i in range(1, len(h.values)))
+            assert ideal_from_sign_word(poset, word) == ideal
 
 
     def test_paper_conventions(self):

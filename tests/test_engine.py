@@ -1,5 +1,6 @@
 """Orbit machinery, homomesy checks, decomposition, exact linear algebra."""
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,8 @@ from homomesy.engine import (
     rational_solve,
 )
 from homomesy.guards import GuardExceeded
-from homomesy.rationals import parse_rational
+from homomesy.posets import Antichain, OrderIdeal
+from homomesy.rationals import exact, parse_rational
 
 
 def rotate_mod(n):
@@ -63,6 +65,118 @@ class TestStatistic:
             Statistic.scalar("text", lambda x: "5")(0)
         with pytest.raises(TypeError, match="str"):
             Statistic("text", 2, lambda x: (1, "1/2"))(0)
+
+
+def reference_as_vector(value, dimension):
+    """The value check as it was before the one-pass type test: one
+    isinstance per entry."""
+    vec = (value,) if isinstance(value, (int, Fraction, float, str)) else tuple(value)
+    for v in vec:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"statistic value {v!r} is a {type(v).__name__}, not exact")
+    if len(vec) != dimension:
+        raise ValueError(f"statistic value has dimension {len(vec)}, declared {dimension}")
+    return vec
+
+
+def checked(check, value, dimension):
+    """What a value check does with value: the entries and their types it
+    returns, or the exception type and message it raises."""
+    try:
+        vec = check(value, dimension)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return vec, [type(v) for v in vec]
+
+
+class Spoofed:
+    """Not an int, but isinstance(x, int) says it is."""
+
+    __class__ = int
+
+
+class ExactInt(int):
+    pass
+
+
+class ExactFraction(Fraction):
+    pass
+
+
+scalar_values = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.booleans(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(ExactInt, st.integers(min_value=0, max_value=3)),
+    st.builds(ExactFraction, st.integers(min_value=0, max_value=3)),
+    st.builds(OrderIdeal, st.integers(min_value=0, max_value=15)),
+    st.builds(Antichain, st.integers(min_value=0, max_value=15)),
+    st.floats(allow_nan=False, width=16),
+    st.sampled_from(["5", "1/2", "", "x"]),
+    st.decimals(min_value=-3, max_value=3, places=1),
+    st.complex_numbers(max_magnitude=3, allow_nan=False),
+    st.none(),
+)
+statistic_values = st.one_of(
+    scalar_values,
+    st.lists(scalar_values, max_size=4),
+    st.lists(scalar_values, max_size=4).map(tuple),
+    st.lists(st.one_of(scalar_values, st.tuples(scalar_values)), max_size=4).map(tuple),
+    st.binary(max_size=4),
+    st.lists(st.integers(min_value=0, max_value=1), max_size=4).map(bytes),
+)
+
+
+class TestValueCheck:
+    @given(statistic_values, st.integers(min_value=0, max_value=4))
+    @example((1, 0.5, "x"), 3)  # the first offender is named
+    @example([True, OrderIdeal(3), Fraction(1, 2)], 3)  # subclasses pass unconverted
+    def test_matches_the_per_entry_loop(self, value, dimension):
+        assert checked(engine._as_vector, value, dimension) == \
+            checked(reference_as_vector, value, dimension)
+
+    def test_isinstance_decides_as_before(self):
+        # a type outside int and Fraction sends the entries through isinstance
+        spoofed = Spoofed()
+        assert engine._as_vector((1, spoofed), 2) == (1, spoofed)
+
+    @pytest.mark.parametrize("value,message", [
+        (0.5, "statistic value 0.5 is a float, not exact"),
+        ((1, 2.0), "statistic value 2.0 is a float, not exact"),
+        ("5", "statistic value '5' is a str, not exact"),
+        ((1, "5"), "statistic value '5' is a str, not exact"),
+        (Decimal("1.5"), "'decimal.Decimal' object is not iterable"),
+        ((Decimal("1.5"), 1), "statistic value Decimal('1.5') is a Decimal, not exact"),
+        (1j, "'complex' object is not iterable"),
+        ((1, 1j), "statistic value 1j is a complex, not exact"),
+        (None, "'NoneType' object is not iterable"),
+        ((None, 1), "statistic value None is a NoneType, not exact"),
+        ((1, (2,)), "statistic value (2,) is a tuple, not exact"),
+    ])
+    def test_refused_with_the_old_message(self, value, message):
+        with pytest.raises(TypeError) as caught:
+            engine._as_vector(value, 2)
+        assert str(caught.value) == message
+        assert checked(engine._as_vector, value, 2) == checked(reference_as_vector, value, 2)
+
+    @pytest.mark.parametrize("value,dimension,expected", [
+        (True, 1, (True,)),
+        ((False, True), 2, (False, True)),
+        (OrderIdeal(5), 1, (OrderIdeal(5),)),
+        ((OrderIdeal(1), Antichain(2)), 2, (OrderIdeal(1), Antichain(2))),
+        (Fraction(1, 2), 1, (Fraction(1, 2),)),
+        ([Fraction(1, 2), 3], 2, (Fraction(1, 2), 3)),
+        (b"\x00\x01\x01", 3, (0, 1, 1)),
+    ])
+    def test_accepted_unconverted(self, value, dimension, expected):
+        vec = engine._as_vector(value, dimension)
+        assert vec == expected
+        assert [type(v) for v in vec] == [type(v) for v in expected]
+
+    def test_bare_int_fast_path_still_checks_the_dimension(self):
+        assert engine._as_vector(7, 1) == (7,)
+        with pytest.raises(ValueError, match="dimension 1, declared 2"):
+            engine._as_vector(7, 2)
 
 
 class TestIterateOrbit:
@@ -408,6 +522,20 @@ class TestNullspace:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             rational_nullspace([[1, 0.5]])
+        # a float row equal to an earlier exact row is refused, not dropped as a repeat
+        with pytest.raises(TypeError, match="floating-point"):
+            rational_nullspace([[1, 2], [1.0, 2]])
+        with pytest.raises(TypeError, match="floating-point"):
+            rational_nullspace([(Fraction(1), Fraction(2)), (Fraction(1), 2.0)])
+
+    @given(rational_matrices(), st.data())
+    def test_shuffled_and_repeated_rows_give_the_reference_kernel(self, matrix, data):
+        rows, ncols = matrix
+        extra = data.draw(st.lists(st.sampled_from(rows), max_size=6)) if rows else []
+        shuffled = data.draw(st.permutations([*rows, *extra]))
+        assert rational_nullspace(shuffled, ncols) == reference_nullspace(rows, ncols)
+        as_tuples = [tuple(row) for row in shuffled]
+        assert rational_nullspace(as_tuples, ncols) == reference_nullspace(rows, ncols)
 
     @given(rational_matrices())
     @example(([[0, 0], [1, 2], [2, 4], [1, 2]], 2))  # zero, scaled and repeated rows
@@ -449,6 +577,50 @@ class TestInReducedSpan:
         assert in_reduced_span((0, 0), [])
         assert not in_reduced_span((0, 1), [])
 
+    def test_zero_basis_vector_refused(self):
+        with pytest.raises(ValueError, match="zero"):
+            in_reduced_span((1, 2), [(0, 0)])
+        with pytest.raises(ValueError, match="zero"):
+            in_reduced_span((1, 2), [(1, 0), (Fraction(0), Fraction(0))])
+
+    def test_length_mismatch_refused(self):
+        kernel = rational_nullspace([[1, 2, 3]])
+        with pytest.raises(ValueError, match="different lengths"):
+            in_reduced_span((1, 2), kernel)
+        with pytest.raises(ValueError, match="different lengths"):
+            in_reduced_span((1, 2, 3, 4), kernel)
+        with pytest.raises(ValueError, match="different lengths"):
+            in_reduced_span((0,), [(0, 1)])
+
+    def test_float_entries_refused(self):
+        kernel = rational_nullspace([[1, 2, 3]])
+        for vector in [(0.5, 0, 0), (-2, 1.0, 0), (0, 0, 0.0)]:
+            with pytest.raises(TypeError, match="floating-point"):
+                in_reduced_span(vector, kernel)
+        with pytest.raises(TypeError, match="floating-point"):
+            in_reduced_span((1, 0), [(1.0, 0)])
+        with pytest.raises(TypeError, match="floating-point"):
+            in_reduced_span((1, 0), [(1, 0.0)])
+
+    @given(rational_matrices(), st.data())
+    @example(([[1, 2, 3]], 3), None)
+    def test_matches_the_old_span_test(self, matrix, data):
+        rows, ncols = matrix
+        kernel = rational_nullspace(rows, ncols)
+        entries = st.one_of(st.integers(min_value=-3, max_value=3),
+                            st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        if data is None:
+            vectors = [(-2, 1, 0), (1, 1, 1), (-4, Fraction(1, 2), 1)]
+        else:
+            weights = data.draw(st.lists(entries, min_size=len(kernel), max_size=len(kernel)))
+            member = [sum((w * v[i] for w, v in zip(weights, kernel)), Fraction(0))
+                      for i in range(ncols)]
+            vectors = [member, data.draw(st.lists(entries, min_size=ncols, max_size=ncols))]
+        for vector in vectors:
+            assert in_reduced_span(vector, kernel) == reference_in_reduced_span(vector, kernel)
+        if data is not None:
+            assert in_reduced_span(vectors[0], kernel)
+
     @given(st.lists(
         st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
         min_size=1, max_size=4),
@@ -456,6 +628,21 @@ class TestInReducedSpan:
     def test_membership_is_annihilation(self, rows, vector):
         annihilated = all(sum(r * v for r, v in zip(row, vector)) == 0 for row in rows)
         assert in_reduced_span(vector, rational_nullspace(rows)) == annihilated
+
+
+def reference_in_reduced_span(vector, kernel) -> bool:
+    """The span test as it was before it scanned back for each free column
+    and added only the nonzero entries."""
+    combination = [Fraction(0)] * len(vector)
+    for basis_vector in kernel:
+        if len(basis_vector) != len(vector):
+            raise ValueError("vector and basis have different lengths")
+        free = max(i for i, v in enumerate(basis_vector) if v != 0)
+        weight = exact(vector[free])
+        if weight:
+            for i, v in enumerate(basis_vector):
+                combination[i] += weight * v
+    return all(exact(v) == w for v, w in zip(vector, combination))
 
 
 def reference_nullspace(rows, num_columns):
