@@ -9,13 +9,15 @@ Conventions fixed here once and used everywhere:
   bottom to top inside each file,
 * the sign word of an ideal reads the height function's increments left to
   right, so promotion acts as (and is computed as) a leftward cyclic shift
-  and rowmotion as the block/gap reversal implemented below,
+  and rowmotion as block/gap reversal: split the word on its blocks (-1, +1),
+  reverse each gap between them, and join with (+1, -1),
 * the Stanley-Thomas word of an antichain carries rowmotion to a rightward
-  cyclic shift.
+  cyclic shift; it reads the rows and columns the antichain's mask meets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .posets import Antichain, FinitePoset, GridPoset, OrderIdeal
 
@@ -26,8 +28,7 @@ PLUS, MINUS = 1, -1
 
 def toggle(poset: FinitePoset, ideal: OrderIdeal, x) -> OrderIdeal:
     """Add or remove x when the result is still an ideal; otherwise return I."""
-    if x not in poset.index:
-        raise ValueError(f"{x!r} is not an element of this poset")
+    poset.element_mask((x,))  # refuses a non-element
     return _toggle_index(poset, ideal, poset.index[x])
 
 
@@ -137,9 +138,7 @@ class HeightFunction:
 
 def height_function(poset: GridPoset, ideal: OrderIdeal) -> HeightFunction:
     """Partial sums of the sign word, from h(-a) = a; they end at h(b) = b."""
-    values = [poset.a]
-    for letter in sign_word(poset, ideal):
-        values.append(values[-1] + letter)
+    values = accumulate(sign_word(poset, ideal), initial=poset.a)
     return HeightFunction(poset.a, poset.b, tuple(values))
 
 
@@ -191,52 +190,35 @@ def require_pm_word(word, minuses: int, pluses: int) -> tuple[int, ...]:
 def block_gap_reversal(word) -> tuple[int, ...]:
     """Rowmotion on sign words.
 
-    A block is an adjacent (-1, +1) pair; scanning left to right, each block
-    is replaced by (+1, -1) and each maximal block-free stretch between
-    blocks (a gap) is reversed in place.
+    A block is an adjacent (-1, +1) pair; each block is replaced by (+1, -1)
+    and each maximal block-free stretch between blocks (a gap) is reversed
+    in place. Blocks never overlap, so splitting the word on "-+" finds them.
     """
     word = tuple(word)
     if any(c not in (PLUS, MINUS) for c in word):
         raise ValueError("word letters must be +1 or -1")
-    out: list[int] = []
-    i, n = 0, len(word)
-    while i < n:
-        if i + 1 < n and word[i] == MINUS and word[i + 1] == PLUS:
-            out.append(PLUS)
-            out.append(MINUS)
-            i += 2
-            continue
-        j = i + 1  # the gap runs to just before the next block
-        while j < n and not (word[j] == MINUS and j + 1 < n and word[j + 1] == PLUS):
-            j += 1
-        out.extend(reversed(word[i:j]))
-        i = j
-    return tuple(out)
+    return parse_pm_word("+-".join(gap[::-1] for gap in format_pm_word(word).split("-+")))
 
 
 # -- Stanley-Thomas words ------------------------------------------------------
 
 def stanley_thomas_word(poset: GridPoset, antichain: Antichain) -> tuple[int, ...]:
-    """Word of length a+b: position i <= a is +1 when the antichain meets
-    positive fiber i; position a+l is +1 when it misses negative fiber l."""
-    members = poset.members(antichain)
-    pos = {k for (k, _) in members}
-    neg = {l for (_, l) in members}
-    head = tuple(PLUS if k in pos else MINUS for k in range(1, poset.a + 1))
-    tail = tuple(MINUS if l in neg else PLUS for l in range(1, poset.b + 1))
-    return head + tail
+    """Word of length a+b: position k <= a is +1 when the antichain meets
+    positive fiber k (row k of the mask); position a+l is +1 when it misses
+    negative fiber l (column l)."""
+    b, row = poset.b, (1 << poset.b) - 1
+    head = [PLUS if antichain >> k * b & row else MINUS for k in range(poset.a)]
+    tail = [MINUS if antichain & poset.col1 << l else PLUS for l in range(b)]
+    return tuple(head + tail)
 
 
 def antichain_from_st_word(poset: GridPoset, word) -> Antichain:
     """Inverse of stanley_thomas_word; validates the letter multiset."""
     word = require_pm_word(word, poset.a, poset.b)
-    rows = [k for k in range(1, poset.a + 1) if word[k - 1] == PLUS]
-    cols = [l for l in range(1, poset.b + 1) if word[poset.a + l - 1] == MINUS]
-    # ascending rows pair with descending columns
-    mask = 0
-    for k, l in zip(rows, reversed(cols)):
-        mask |= 1 << poset.index[(k, l)]
-    return Antichain(mask)
+    rows = [k for k in range(poset.a) if word[k] == PLUS]
+    cols = [l for l in range(poset.b) if word[poset.a + l] == MINUS]
+    # ascending rows pair with descending columns; (k+1, l+1) is bit k*b + l
+    return Antichain(sum(1 << k * poset.b + l for k, l in zip(rows, reversed(cols))))
 
 
 # -- word utilities -----------------------------------------------------------

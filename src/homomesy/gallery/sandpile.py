@@ -49,24 +49,23 @@ class SandpileGraph:
         self.multiplicity = multiplicity
         self.nonsink = tuple(v for v in self.vertices if v != sink)
         self._pos = {v: i for i, v in enumerate(self.nonsink)}
-        self.out_degree = {
-            v: sum(c for (a, _), c in multiplicity.items() if a == v)
-            for v in self.vertices
-        }
-        self._check_sink_reachable()
-        # per-vertex firing threshold and recipe over non-sink indices
+        # one pass over the edges: out-degrees, firing recipes, reverse edges
+        self.out_degree = dict.fromkeys(self.vertices, 0)
+        self._fire_gain = [[] for _ in self.nonsink]
+        incoming: dict = {}
+        for (v, w), c in multiplicity.items():
+            self.out_degree[v] += c
+            incoming.setdefault(w, []).append(v)
+            if v != w and sink not in (v, w):
+                self._fire_gain[self._pos[v]].append((self._pos[w], c))
+        self._check_sink_reachable(incoming)
         self._degree = [self.out_degree[v] for v in self.nonsink]
         self._fire_loss = [self.out_degree[v] - multiplicity.get((v, v), 0)
                            for v in self.nonsink]
-        self._fire_gain = [[(self._pos[w], c) for (a, w), c in multiplicity.items()
-                            if a == v and w != sink and w != v] for v in self.nonsink]
 
-    def _check_sink_reachable(self):
+    def _check_sink_reachable(self, incoming: dict):
         reachable = {self.sink}
         queue = deque([self.sink])
-        incoming: dict = {}
-        for (v, w), _ in self.multiplicity.items():
-            incoming.setdefault(w, []).append(v)
         while queue:
             w = queue.popleft()
             for v in incoming.get(w, ()):  # walk edges backward
@@ -112,15 +111,14 @@ class SandpileGraph:
         stabilized = config - L @ fired componentwise: the diagonal holds
         the non-loop out-degree and entry (v, w) is minus the number of
         edges w -> v. For graphs with every edge paired with a reverse
-        edge this is the usual symmetric matrix.
+        edge this is the usual symmetric matrix. Column i is vertex i's firing.
         """
         n = len(self.nonsink)
         lap = [[0] * n for _ in range(n)]
-        for i, v in enumerate(self.nonsink):
-            lap[i][i] = self.out_degree[v] - self.multiplicity.get((v, v), 0)
-            for j, w in enumerate(self.nonsink):
-                if w != v:
-                    lap[i][j] = -self.multiplicity.get((w, v), 0)
+        for i, (loss, gain) in enumerate(zip(self._fire_loss, self._fire_gain)):
+            lap[i][i] = loss
+            for j, c in gain:
+                lap[j][i] = -c
         return lap
 
     def source_indicator(self) -> tuple[int, ...]:

@@ -2,16 +2,21 @@
 
 A tableau carries its entry ceiling k explicitly. Promotion is the
 composite of the Bender-Knuth involutions applied in the order BK_1 first,
-then BK_2, ..., finally BK_{k-1}; with that pinned order, promotion on an
-m x n rectangle has order dividing k, and for any cell set R that is
-invariant under 180-degree rotation of the rectangle the entry sum over R
-is |R|(k+1)/2-mesic. Each `SSYT` is checked once, when it is built: at
-enumeration, seed parsing, and once per promotion (not per involution);
-an entry that is not an int is refused, not truncated. `rect_tableaux`
-meets its guard from the hook-content count before it builds a tableau.
+then BK_2, ..., finally BK_{k-1}. BK_i changes only how many entries <= i
+each row holds: it is the piecewise-linear toggle of that Gelfand-Tsetlin
+entry between its neighbours in the rows above and below (Kirillov &
+Berenstein, St. Petersburg Math. J. 7, 1996). With the pinned order,
+promotion on an m x n rectangle has order dividing k, and for any cell set
+R that is invariant under 180-degree rotation of the rectangle the entry
+sum over R is |R|(k+1)/2-mesic. Each `SSYT` is checked once, when it is
+built: at enumeration, seed parsing, and once per promotion (not per
+involution); an entry that is not an int is refused, not truncated.
+`rect_tableaux` meets its guard from the hook-content count before it
+builds a tableau.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -76,28 +81,24 @@ def ssyt_promotion(tableau: SSYT) -> SSYT:
 def _bender_knuth_steps(tableau: SSYT, indices) -> SSYT:
     """BK_i for each i of indices in turn, on a copy of the rows.
 
-    An i is locked when i+1 sits directly below it, an i+1 when i sits
-    directly above it; in each row the free i's (say r of them) and free
-    i+1's (s of them) are rewritten as s i's followed by r i+1's.
+    Row r holds lo_r entries < i and hi_r entries <= i+1, which BK_i keeps;
+    as the Gelfand-Tsetlin toggle (Kirillov-Berenstein 1996) its count m_r
+    of entries <= i becomes max(lo_r, hi_{r+1}) + min(hi_r, lo_{r-1}) - m_r,
+    with hi = 0 below the last row and lo = ncols above the first. The bounds
+    do the lock rule's work: an i before column hi_{r+1} has an i+1 under
+    it, and an i+1 from column lo_{r-1} on has an i over it.
     """
     grid = [list(row) for row in tableau.rows]
-    nrows = len(grid)
     for i in indices:
+        lo = [bisect_left(row, i) for row in grid]
+        hi = [bisect_right(row, i + 1) for row in grid] + [0]
+        above = len(grid[0])
         for r, row in enumerate(grid):
-            free = []
-            for c, value in enumerate(row):
-                if value == i:
-                    if r + 1 < nrows and grid[r + 1][c] == i + 1:
-                        continue
-                    free.append(c)
-                elif value == i + 1:
-                    if r > 0 and grid[r - 1][c] == i:
-                        continue
-                    free.append(c)
-            small = sum(1 for c in free if row[c] == i)
-            large = len(free) - small
-            for pos, c in enumerate(free):
-                row[c] = i if pos < large else i + 1
+            start, end = lo[r], hi[r]
+            if start < end:
+                m = max(start, hi[r + 1]) + min(end, above) - bisect_right(row, i, start, end)
+                row[start:end] = [i] * (m - start) + [i + 1] * (end - m)
+            above = start
     return SSYT(tableau.ceiling, grid)
 
 

@@ -309,8 +309,7 @@ class GridPoset(FinitePoset):
 
     def opposite(self, x):
         """180-degree rotation: (k, l) -> (a + 1 - k, b + 1 - l)."""
-        if x not in self.index:
-            raise ValueError(f"{x!r} is not an element of this poset")
+        self.element_mask((x,))  # refuses a non-element
         k, l = x
         return (self.a + 1 - k, self.b + 1 - l)
 

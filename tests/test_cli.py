@@ -406,8 +406,11 @@ class TestOrbits:
          "cell (3, 1) outside the 2 x 2 rectangle"),
         (("orbits", "ballot", "--a", "2", "--b", "2", "--seed", "+-+"),
          "word must have 2 minus letters and 2 plus letters"),
+        (("check", "ssyt", "--a", "1", "--b", "1", "--k", "0"),
+         "entry ceiling must be at least 1"),
     ], ids=["permutation-letter", "permutation-repeat", "suter-outside-Y_n",
-            "ssyt-no-tableaux", "ssyt-bad-seed", "ssyt-cell-outside", "word-letter-count"])
+            "ssyt-no-tableaux", "ssyt-bad-seed", "ssyt-cell-outside", "word-letter-count",
+            "ssyt-ceiling-0"])
     def test_a_refused_input_prints_one_error_line(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")

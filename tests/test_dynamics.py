@@ -106,6 +106,11 @@ class TestToggles:
         with pytest.raises(ValueError):
             toggle(poset, OrderIdeal(0), (9, 9))
 
+    @pytest.mark.parametrize("poset", [GridPoset(2, 2), DIAMOND], ids=["grid", "diamond"])
+    def test_a_non_element_is_named_by_the_element_check(self, poset):
+        with pytest.raises(ValueError, match=r"^\(9, 9\) is not an element of this poset$"):
+            toggle(poset, OrderIdeal(0), (9, 9))
+
     def test_toggle_is_an_involution(self):
         poset = GridPoset(3, 3)
         for ideal in poset.enumerate_order_ideals():
@@ -402,7 +407,39 @@ class TestBlockGapReversal:
         assert sorted(image) == sorted(word)
 
 
+def reference_stanley_thomas_word(poset, antichain):
+    """The word read from the antichain's members: +1 at k <= a when some
+    member lies in row k, +1 at a+l when no member lies in column l."""
+    members = poset.members(antichain)
+    pos = {k for (k, _) in members}
+    neg = {l for (_, l) in members}
+    head = tuple(PLUS if k in pos else MINUS for k in range(1, poset.a + 1))
+    tail = tuple(MINUS if l in neg else PLUS for l in range(1, poset.b + 1))
+    return head + tail
+
+
+def reference_antichain_from_st_word(poset, word):
+    """The inverse through element pairs: ascending +1 rows meet descending
+    -1 columns."""
+    rows = [k for k in range(1, poset.a + 1) if word[k - 1] == PLUS]
+    cols = [l for l in range(1, poset.b + 1) if word[poset.a + l - 1] == MINUS]
+    mask = 0
+    for k, l in zip(rows, reversed(cols)):
+        mask |= 1 << poset.index[(k, l)]
+    return Antichain(mask)
+
+
 class TestStanleyThomas:
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_matches_the_members_reading(self, a):
+        for b in range(1, 7):
+            poset = GridPoset(a, b)
+            for chain in poset.enumerate_antichains():
+                word = stanley_thomas_word(poset, chain)
+                assert word == reference_stanley_thomas_word(poset, chain)
+                assert antichain_from_st_word(poset, word) == \
+                    reference_antichain_from_st_word(poset, word) == chain
+
     def test_worked_example_on_7_by_5(self):
         poset = GridPoset(7, 5)
         chain = poset.antichain([(1, 5), (5, 3), (6, 2)])

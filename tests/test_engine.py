@@ -515,6 +515,10 @@ class TestNullspace:
         with pytest.raises(ValueError, match="num_columns"):
             rational_nullspace([])
 
+    def test_a_column_count_that_disagrees_with_the_rows_is_refused(self):
+        with pytest.raises(ValueError, match="^num_columns disagrees with the rows$"):
+            rational_nullspace([[1, 2]], num_columns=3)
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
             rational_nullspace([[1, 2], [1]])

@@ -1,5 +1,6 @@
 """Poset construction, ideal/antichain machinery, and the grid poset."""
 import math
+import re
 import sys
 import tracemalloc
 from itertools import permutations
@@ -285,6 +286,11 @@ class TestGridPoset:
         for x in poset.elements:
             for y in poset.elements:
                 assert poset.leq(x, y) == poset.leq(poset.opposite(y), poset.opposite(x))
+
+    @pytest.mark.parametrize("x", [(4, 1), (0, 0), "a"], ids=repr)
+    def test_opposite_names_a_non_element(self, x):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(x))} is not an element of this poset$"):
+            GridPoset(3, 4).opposite(x)
 
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (4, 4), (5, 2)])
     def test_ideal_count(self, a, b):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from homomesy.engine import check_homomesy
 from homomesy.gallery.sandpile import (
@@ -71,6 +72,36 @@ def random_sink_connected_digraph(rng, max_vertices=5):
     return SandpileGraph(edges, sink, source)
 
 
+def reference_out_degree(graph):
+    """Out-degrees by one scan of the edges per vertex, in vertex order."""
+    return {v: sum(c for (a, _), c in graph.multiplicity.items() if a == v)
+            for v in graph.vertices}
+
+
+def reference_reduced_laplacian(graph):
+    """L' entry by entry from the edge multiplicities: the non-loop
+    out-degree on the diagonal, minus the edges w -> v at (v, w)."""
+    out_degree = reference_out_degree(graph)
+    return [[out_degree[v] - graph.multiplicity.get((v, v), 0) if v == w
+             else -graph.multiplicity.get((w, v), 0) for w in graph.nonsink]
+            for v in graph.nonsink]
+
+
+@st.composite
+def sink_connected_multigraphs(draw):
+    """(edge lines, sink, source) on v0..v{n-1} with sink v0. A spine line
+    from each vertex to an earlier one keeps the sink reachable; the extra
+    lines may be self-loops, leave the sink, or repeat a line."""
+    n = draw(st.integers(2, 6))
+    names = [f"v{i}" for i in range(n)]
+    counts = st.integers(1, 3)
+    edges = [(names[i], names[draw(st.integers(0, i - 1))], draw(counts)) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names), counts),
+                           max_size=3 * n))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return draw(st.permutations(edges)), names[0], draw(st.sampled_from(names[1:]))
+
+
 class TestGraphConstruction:
     def test_from_text_parses_comments_and_headers(self, cycle4):
         assert cycle4.vertices == ("1", "2", "3", "4")
@@ -100,12 +131,23 @@ class TestGraphConstruction:
             SandpileGraph([("a", "b", 1), ("c", "c".upper(), 1), ("C", "c", 1)],
                           "b", "c")
 
+    @pytest.mark.parametrize("sink,source", [("t", "z"), ("z", "a")])
+    def test_sink_and_source_must_occur_in_the_edge_list(self, sink, source):
+        with pytest.raises(ValueError, match="^sink and source must occur in the edge list$"):
+            SandpileGraph([("a", "t", 1)], sink, source)
+
     def test_sink_and_source_must_differ(self):
         with pytest.raises(ValueError, match="differ"):
             SandpileGraph([("a", "b", 1)], "b", "b")
 
     def test_reduced_laplacian_of_the_4_cycle(self, cycle4):
         assert cycle4.reduced_laplacian() == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+
+    @given(sink_connected_multigraphs())
+    def test_laplacian_and_out_degrees_match_the_edge_scans(self, drawn):
+        graph = SandpileGraph(*drawn)
+        assert list(graph.out_degree.items()) == list(reference_out_degree(graph).items())
+        assert graph.reduced_laplacian() == reference_reduced_laplacian(graph)
 
     def test_config_validation(self, cycle4):
         with pytest.raises(ValueError, match="3 entries"):

@@ -40,6 +40,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="1..ceiling"):
             T(3, (0, 1))
 
+    def test_ceiling_must_be_at_least_1(self):
+        with pytest.raises(ValueError, match="^entry ceiling must be at least 1$"):
+            SSYT(0, ((1,),))
+
     def test_rectangle_required(self):
         with pytest.raises(ValueError, match="same length"):
             T(3, (1, 1), (2,))
@@ -144,6 +148,15 @@ class TestEnumeration:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             rect_tableaux(2, 3, 5, guard=100)
+
+    @pytest.mark.parametrize("nrows,ncols", [(0, 2), (2, 0)])
+    def test_rectangle_dimensions_must_be_at_least_1(self, nrows, ncols):
+        with pytest.raises(ValueError, match="^rectangle dimensions must be at least 1$"):
+            rect_tableaux(nrows, ncols, 3)
+
+    def test_ceiling_must_be_at_least_1(self):
+        with pytest.raises(ValueError, match="^entry ceiling must be at least 1$"):
+            rect_tableaux(1, 1, 0)
 
     @pytest.mark.parametrize("nrows,ncols,ceiling", ENUMERATION_SHAPES)
     def test_matches_the_recursive_backtracking(self, nrows, ncols, ceiling):
