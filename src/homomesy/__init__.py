@@ -12,21 +12,15 @@ rational arithmetic, and extracts homomesic subspaces.
 from .guards import DEFAULT_ENUMERATION_GUARD, DEFAULT_ORBIT_GUARD, GuardExceeded
 from .posets import Antichain, FinitePoset, GridPoset, OrderIdeal
 from .dynamics import (
-    HeightFunction,
     antichain_from_st_word,
-    block_gap_reversal,
     cyclic_shift,
-    height_function,
     ideal_from_sign_word,
     promotion_antichain,
     promotion_ideal,
     rowmotion_antichain,
     rowmotion_ideal,
-    rowmotion_ideal_by_ranks,
-    rowmotion_ideal_by_toggles,
     sign_word,
     stanley_thomas_word,
-    toggle,
 )
 from .engine import (
     HomomesyReport,
@@ -36,7 +30,6 @@ from .engine import (
     check_homomesy,
     homomesic_subspace,
     in_reduced_span,
-    invariant_homomesic_decomposition,
     iterate_orbit,
     orbit_average,
     orbit_partition,
@@ -54,21 +47,17 @@ __all__ = [
     "FinitePoset",
     "GridPoset",
     "GuardExceeded",
-    "HeightFunction",
     "HomomesyReport",
     "Orbit",
     "OrbitSummary",
     "OrderIdeal",
     "Statistic",
     "antichain_from_st_word",
-    "block_gap_reversal",
     "check_homomesy",
     "cyclic_shift",
-    "height_function",
     "homomesic_subspace",
     "in_reduced_span",
     "ideal_from_sign_word",
-    "invariant_homomesic_decomposition",
     "iterate_orbit",
     "orbit_average",
     "orbit_partition",
@@ -78,10 +67,7 @@ __all__ = [
     "rational_solve",
     "rowmotion_antichain",
     "rowmotion_ideal",
-    "rowmotion_ideal_by_ranks",
-    "rowmotion_ideal_by_toggles",
     "sign_word",
     "stanley_thomas_word",
     "summarize_orbits",
-    "toggle",
 ]

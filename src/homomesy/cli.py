@@ -22,9 +22,11 @@ A --seed or --expect-c value that starts with '-' takes the '=' form
 leading '-' as a flag.
 
 --expect-c applies only to 'check'; the other commands reject it, and
-'subspace' rejects --seed and --stat too. A system rejects any of
---a/--b/--n/--k/--graph that it does not read. Exit codes: 0 success, 2 usage,
-3 guard exceeded, 4 an --expect-c expectation failed.
+'subspace' rejects --seed and --stat too. An --expect-c whose length is not
+the statistic's dimension exits 2 before the orbit walk. A system rejects any
+of --a/--b/--n/--k/--graph that it does not read, and lyness, which reads no
+statistic, rejects --stat. Exit codes: 0 success, 2 usage, 3 guard exceeded,
+4 an --expect-c expectation failed.
 """
 from __future__ import annotations
 
@@ -382,6 +384,12 @@ def _emit_report(args, bundle: Bundle, report, verdict: bool) -> None:
           csv_rows, _orbit_table(bundle, summaries, footer))
 
 
+def _check_expected_dimension(args, statistic: str, dimension: int) -> None:
+    if args.expected_c is not None and len(args.expected_c) != dimension:
+        raise UsageError(f"--expect-c has length {len(args.expected_c)}, but statistic "
+                         f"{statistic!r} has dimension {dimension}")
+
+
 def _check_expectation(args, homomesic: bool, c) -> int:
     if args.expect_c is None:
         return EXIT_OK
@@ -408,6 +416,7 @@ def run_check(args, verdict: bool) -> int:
         raise UsageError("'check' sweeps the whole space; --seed only applies to "
                          "'orbits' (and to lyness)")
     bundle = build_bundle(args)
+    _check_expected_dimension(args, bundle.statistic.name, bundle.statistic.dimension)
     if args.seed is None:
         report = check_homomesy(bundle.tau, bundle.space, bundle.statistic, guard=args.guard)
     else:
@@ -426,6 +435,7 @@ def _run_lyness(args, verdict: bool) -> int:
         state = LynessState(*values)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad lyness seed: {exc}") from None
+    _check_expected_dimension(args, "log|h(x)|", 1)
     cycle = lyness_cycle(state)
     product = lyness_orbit_product(state)
     homomesic = product == 1
@@ -571,6 +581,8 @@ def main(argv=None) -> int:
         for name in ("a", "b", "n", "k", "graph"):
             if getattr(args, name) is not None and name not in listed:
                 raise UsageError(f"system {args.system!r} takes no --{name}")
+        if args.system == "lyness" and args.stat is not None:
+            raise UsageError("system 'lyness' takes no --stat")
         if args.command == "subspace":
             return run_subspace(args)
         return run_check(args, verdict=args.command == "check")

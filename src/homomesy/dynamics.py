@@ -1,42 +1,29 @@
-"""Dynamics on products of two chains: toggles, rowmotion, promotion, words.
+"""Dynamics on products of two chains: rowmotion, promotion, words.
 
 Conventions fixed here once and used everywhere:
 
 * rowmotion on ideals sends I to the down closure of the minimal elements
-  of its complement; the equivalent toggle formulations apply the toggle at
-  the TOP of a linear extension first and work downward,
-* promotion toggles files left to right (file 1-a through file b-1),
-  bottom to top inside each file,
+  of its complement; as a product of toggles (Striker-Williams 2012) it
+  applies the toggle at the TOP of a linear extension first and works
+  downward,
+* promotion is the product of the file toggles left to right (file 1-a
+  through file b-1), bottom to top inside each file; it is computed as the
+  rotation of the sign word that product equals,
 * the sign word of an ideal reads the height function's increments left to
-  right, so promotion acts as (and is computed as) a leftward cyclic shift
-  and rowmotion as block/gap reversal: split the word on its blocks (-1, +1),
-  reverse each gap between them, and join with (+1, -1),
+  right, so promotion acts as a leftward cyclic shift and rowmotion as
+  block/gap reversal: split the word on its blocks (-1, +1), reverse each
+  gap between them, and join with (+1, -1),
 * the Stanley-Thomas word of an antichain carries rowmotion to a rightward
   cyclic shift; it reads the rows and columns the antichain's mask meets.
+
+The toggle products, the height function and block/gap reversal are the
+references the tests hold these maps to; they live in tests/reference.py.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from itertools import accumulate
 
 from .posets import Antichain, FinitePoset, GridPoset, OrderIdeal
 
 PLUS, MINUS = 1, -1
-
-
-# -- toggles ---------------------------------------------------------------
-
-def toggle(poset: FinitePoset, ideal: OrderIdeal, x) -> OrderIdeal:
-    """Add or remove x when the result is still an ideal; otherwise return I."""
-    poset.element_mask((x,))  # refuses a non-element
-    return _toggle_index(poset, ideal, poset.index[x])
-
-
-def _toggle_index(poset: FinitePoset, ideal: OrderIdeal, i: int) -> OrderIdeal:
-    # x can leave I when it is maximal in I, and join when it is minimal
-    # outside I
-    movable = poset.maximal_elements(ideal) | poset.minimal_elements_of_complement(ideal)
-    return OrderIdeal(ideal ^ (movable & 1 << i))
 
 
 # -- rowmotion ---------------------------------------------------------------
@@ -44,43 +31,6 @@ def _toggle_index(poset: FinitePoset, ideal: OrderIdeal, i: int) -> OrderIdeal:
 def rowmotion_ideal(poset: FinitePoset, ideal: OrderIdeal) -> OrderIdeal:
     """Rowmotion on order ideals: down closure of the complement's minimals."""
     return poset.down_closure(poset.minimal_elements_of_complement(ideal))
-
-
-def rowmotion_ideal_by_toggles(poset: FinitePoset, ideal: OrderIdeal,
-                               extension=None) -> OrderIdeal:
-    """Rowmotion as a product of element toggles along a linear extension.
-
-    The toggle at the top of the extension is applied first. The result is
-    independent of the extension chosen; the default is the poset's
-    canonical one.
-    """
-    if extension is None:
-        order = poset._extension
-    else:
-        # a linear extension lists each element once, and each prefix is an ideal
-        order, seen = [], 0
-        for x in extension:
-            bit = poset.element_mask((x,))
-            if seen & bit:
-                raise ValueError("linear extension must list every element once")
-            seen |= bit
-            if not poset.is_ideal_mask(seen):
-                raise ValueError("sequence is not a linear extension")
-            order.append(poset.index[x])
-        if seen != poset.full_mask:
-            raise ValueError("linear extension must list every element once")
-    for i in reversed(order):
-        ideal = _toggle_index(poset, ideal, i)
-    return ideal
-
-
-def rowmotion_ideal_by_ranks(poset: GridPoset, ideal: OrderIdeal) -> OrderIdeal:
-    """Rowmotion as rank toggles, top rank first (grid posets only): the
-    ranks listed in order are a linear extension, and toggles inside a rank
-    commute."""
-    if not isinstance(poset, GridPoset):
-        raise ValueError("rank-toggle rowmotion is defined on grid posets")
-    return rowmotion_ideal_by_toggles(poset, ideal, sorted(poset.elements, key=poset.rank))
 
 
 def rowmotion_antichain(poset: FinitePoset, antichain: Antichain) -> Antichain:
@@ -112,35 +62,7 @@ def promotion_antichain(poset: GridPoset, antichain: Antichain) -> Antichain:
     return poset.maximal_elements(promotion_ideal(poset, poset.down_closure(antichain)))
 
 
-# -- height functions and sign words ----------------------------------------
-
-@dataclass(frozen=True)
-class HeightFunction:
-    """Heights h(-a), ..., h(b) of an order ideal of [a] x [b].
-
-    h(k) = |k| + 2 * #(I intersected with file k), with the endpoint
-    conventions h(-a) = a and h(b) = b.
-    """
-
-    a: int
-    b: int
-    values: tuple[int, ...]
-
-    def at(self, k: int) -> int:
-        if not -self.a <= k <= self.b:
-            raise ValueError(f"height argument {k} outside [{-self.a}, {self.b}]")
-        return self.values[k + self.a]
-
-    @property
-    def total(self) -> int:
-        return sum(self.values)
-
-
-def height_function(poset: GridPoset, ideal: OrderIdeal) -> HeightFunction:
-    """Partial sums of the sign word, from h(-a) = a; they end at h(b) = b."""
-    values = accumulate(sign_word(poset, ideal), initial=poset.a)
-    return HeightFunction(poset.a, poset.b, tuple(values))
-
+# -- sign words ----------------------------------------------------------------
 
 def sign_word(poset: GridPoset, ideal: OrderIdeal) -> tuple[int, ...]:
     """Increments of the height function: a+b letters from {+1, -1}.
@@ -183,21 +105,6 @@ def require_pm_word(word, minuses: int, pluses: int) -> tuple[int, ...]:
             f"word must have {minuses} minus letters and {pluses} plus letters"
         )
     return word
-
-
-# -- block/gap reversal ------------------------------------------------------
-
-def block_gap_reversal(word) -> tuple[int, ...]:
-    """Rowmotion on sign words.
-
-    A block is an adjacent (-1, +1) pair; each block is replaced by (+1, -1)
-    and each maximal block-free stretch between blocks (a gap) is reversed
-    in place. Blocks never overlap, so splitting the word on "-+" finds them.
-    """
-    word = tuple(word)
-    if any(c not in (PLUS, MINUS) for c in word):
-        raise ValueError("word letters must be +1 or -1")
-    return parse_pm_word("+-".join(gap[::-1] for gap in format_pm_word(word).split("-+")))
 
 
 # -- Stanley-Thomas words ------------------------------------------------------

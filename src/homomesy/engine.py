@@ -5,9 +5,9 @@ hashable and mutually comparable (the smallest state of an orbit is its
 canonical representative). A statistic value is an int or a Fraction;
 anything else, a float included, raises. The check is one C-level pass
 over the types of a value's entries, not one isinstance per entry.
-Check, decomposition and subspace all average through orbit_average: orbit
-sums stay exact ints (or Fractions) and each orbit component costs one
-Fraction division. The subspace search drops repeated orbit rows, takes the
+Check and subspace both average through orbit_average: orbit sums stay
+exact ints (or Fractions) and each orbit component costs one Fraction
+division. The subspace search drops repeated orbit rows, takes the
 kernel of the rows (-1, orbit average) by fraction-free integer elimination
 and makes Fractions only for the result.
 """
@@ -224,32 +224,6 @@ def summarize_orbits(orbits, statistic: Statistic) -> HomomesyReport:
         homomesic=homomesic,
         c=c,
     )
-
-
-def invariant_homomesic_decomposition(tau: Callable, space, statistic: Statistic,
-                                      guard: int | None = None):
-    """Split f into its orbit-mean part and its 0-mesic remainder.
-
-    Returns (f_mean, f_centered): f_mean is constant on every orbit,
-    f_centered averages to zero on every orbit, and f = f_mean + f_centered
-    pointwise. The splitting is unique with those properties.
-    """
-    orbits = orbit_partition(tau, space, guard)
-    summaries = summarize_orbits(orbits, statistic).orbit_summaries
-    mean_by_state = {s: summary.average
-                     for orbit, summary in zip(orbits, summaries) for s in orbit.states}
-
-    def mean_part(state):
-        return mean_by_state[state]
-
-    def centered_part(state):
-        avg = mean_by_state[state]
-        val = statistic(state)
-        return tuple(v - m for v, m in zip(val, avg))
-
-    f_mean = Statistic(f"{statistic.name}.orbit-mean", statistic.dimension, mean_part)
-    f_centered = Statistic(f"{statistic.name}.centered", statistic.dimension, centered_part)
-    return f_mean, f_centered
 
 
 def homomesic_subspace(tau: Callable, space, statistic: Statistic,

@@ -66,13 +66,6 @@ def require_cell(nrows: int, ncols: int, r: int, c: int) -> None:
         raise ValueError(f"cell ({r}, {c}) outside the {nrows} x {ncols} rectangle")
 
 
-def bender_knuth(tableau: SSYT, i: int) -> SSYT:
-    """The involution swapping the multiplicities of i and i+1."""
-    if not 1 <= i <= tableau.ceiling - 1:
-        raise ValueError(f"involution index {i} outside 1..{tableau.ceiling - 1}")
-    return _bender_knuth_steps(tableau, (i,))
-
-
 def ssyt_promotion(tableau: SSYT) -> SSYT:
     """BK_1 applied first, then BK_2 through BK_{ceiling-1}."""
     return _bender_knuth_steps(tableau, range(1, tableau.ceiling))

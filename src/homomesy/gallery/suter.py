@@ -71,16 +71,6 @@ def suter_rho(n: int, diagram) -> Partition:
     return core + (1,) * pad
 
 
-def box_weights(n: int, diagram) -> list[int]:
-    """Weights n - r - c + 1 of the boxes, row by row."""
-    diagram = require_member(n, diagram)
-    return [
-        n - r - c + 1
-        for r, row_len in enumerate(diagram, start=1)
-        for c in range(1, row_len + 1)
-    ]
-
-
 def weight_statistic(n: int) -> Statistic:
     """Total box weight; (n^3 - n)/12-mesic under rho_n."""
     return Statistic.scalar("weight", lambda lam: sum(

@@ -114,11 +114,6 @@ class FinitePoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
-    def linear_extension(self) -> tuple:
-        """The canonical (index-lex smallest) linear extension, as elements."""
-        return tuple(self.elements[i] for i in self._extension)
-
     def element_mask(self, items) -> int:
         mask = 0
         for x in items:
@@ -132,30 +127,15 @@ class FinitePoset:
         """Decode an ideal/antichain/raw mask into elements, in element order."""
         return tuple(self.elements[i] for i in iter_bits(state))
 
-    def leq(self, x, y) -> bool:
-        """True when x <= y in the poset order."""
-        x_bit = self.element_mask((x,))
-        return bool(self.down_closure((y,)) & x_bit)
-
     # -- ideal / antichain machinery --------------------------------------
-    # leq, the ideal and antichain checks and the toggles of dynamics read
-    # only the kernels down_closure, maximal_elements and
-    # minimal_elements_of_complement, so a subclass that overrides those
-    # three and enumeration needs no cover or order table.
-
-    def is_ideal_mask(self, mask: int) -> bool:
-        return 0 <= mask <= self.full_mask and self.down_closure(OrderIdeal(mask)) == mask
+    # the antichain check reads only the kernels down_closure,
+    # maximal_elements and minimal_elements_of_complement, so a subclass
+    # that overrides those three and enumeration needs no cover or order
+    # table.
 
     def is_antichain_mask(self, mask: int) -> bool:
         return (0 <= mask <= self.full_mask
                 and self.maximal_elements(self.down_closure(Antichain(mask))) == mask)
-
-    def ideal(self, items) -> OrderIdeal:
-        """Build an OrderIdeal from an element set, validating down-closure."""
-        mask = self.element_mask(items)
-        if not self.is_ideal_mask(mask):
-            raise ValueError("element set is not down-closed")
-        return OrderIdeal(mask)
 
     def antichain(self, items) -> Antichain:
         """Build an Antichain from an element set, validating incomparability."""
@@ -234,8 +214,8 @@ class GridPoset(FinitePoset):
     in lexicographic order (which is itself a linear extension), so (k, l)
     is bit (k - 1) * b + (l - 1) of every mask: row k is a run of b bits,
     and the cover moves raise one coordinate by 1, which is a shift left by
-    1 inside a row or by b across rows. Rank of (k, l) is k + l - 2; the
-    file is l - k and ranges over [1 - a, b - 1].
+    1 inside a row or by b across rows. The file of (k, l) is l - k and
+    ranges over [1 - a, b - 1].
 
     The three kernels (down_closure, maximal_elements,
     minimal_elements_of_complement) and enumeration are shift-and-mask
@@ -253,7 +233,6 @@ class GridPoset(FinitePoset):
         self.elements = tuple((k, l) for k in range(1, a + 1) for l in range(1, b + 1))
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.full_mask = (1 << a * b) - 1
-        self._extension = range(a * b)  # lexicographic order: the least linear extension
         # masks for the kernels
         self.col1 = self.element_mask(self.negative_fiber(1))
         self.lastcol = self.element_mask(self.negative_fiber(b))
@@ -266,32 +245,15 @@ class GridPoset(FinitePoset):
             (s, self.element_mask((k, l) for k in range(1, a + 1) for l in range(1, b - s + 1)))
             for s in (1 << j for j in range(b.bit_length())) if s < b)
 
-    @staticmethod
-    def rank(x) -> int:
-        k, l = x
-        return k + l - 2
-
-    @staticmethod
-    def file_of(x) -> int:
-        k, l = x
-        return l - k
-
     @property
     def files(self) -> range:
         """File indices, leftmost (1 - a) to rightmost (b - 1)."""
         return range(1 - self.a, self.b)
 
-    def _check_file(self, f: int) -> None:
-        if not 1 - self.a <= f <= self.b - 1:
-            raise ValueError(f"file index {f} outside [{1 - self.a}, {self.b - 1}]")
-
-    def file_members(self, f: int) -> tuple:
-        """Elements of file f, bottom to top (as element order lists them)."""
-        return self.members(self.file_mask(f))
-
     def file_mask(self, f: int) -> int:
         """Mask of file f: the elements (k, k + f), over its own rows only."""
-        self._check_file(f)
+        if not 1 - self.a <= f <= self.b - 1:
+            raise ValueError(f"file index {f} outside [{1 - self.a}, {self.b - 1}]")
         rows = range(max(1, 1 - f), min(self.a, self.b - f) + 1)
         return sum(1 << (k - 1) * (self.b + 1) + f for k in rows)  # the bit of (k, k + f)
 

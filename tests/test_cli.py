@@ -73,6 +73,22 @@ class TestCheck:
         assert out == ""
         assert err == f"error: not a rational: {value!r}\n"
 
+    @pytest.mark.parametrize("argv, value, statistic", [
+        (("grid-rowmotion-ideals", "--a", "2", "--b", "2"), "2,2", "ideal-size"),
+        (("lyness",), "0,0", "log|h(x)|"),
+    ], ids=["grid", "lyness"])
+    def test_expectation_of_the_wrong_length_is_refused_before_the_walk(
+            self, capsys, monkeypatch, argv, value, statistic):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the orbit walk ran")
+
+        monkeypatch.setattr(cli, "check_homomesy", refuse)
+        monkeypatch.setattr(cli, "lyness_cycle", refuse)
+        code, out, err = run(capsys, "check", *argv, "--expect-c", value)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --expect-c has length 2, but statistic {statistic!r} "
+                       "has dimension 1\n")
+
     def test_non_homomesic_system_with_expectation_exits_4(self, capsys):
         code, out, err = run(capsys, "check", "grid-promotion-antichains",
                              "--a", "3", "--b", "2", "--expect-c", "6/5")
@@ -526,6 +542,11 @@ class TestLyness:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["x", "y", "abs_h_of_x"]
         assert len(rows) == 6
+
+    @pytest.mark.parametrize("command", ["check", "orbits"])
+    def test_stat_is_refused(self, capsys, command):
+        code, out, err = run(capsys, command, "lyness", "--stat", "foo")
+        assert (code, out, err) == (2, "", "error: system 'lyness' takes no --stat\n")
 
     def test_orbits_rejects_expect_c(self, capsys):
         code, out, err = run(capsys, "orbits", "lyness", "--expect-c", "0")

@@ -14,7 +14,6 @@ from homomesy.engine import (
     check_homomesy,
     homomesic_subspace,
     in_reduced_span,
-    invariant_homomesic_decomposition,
     iterate_orbit,
     orbit_average,
     orbit_partition,
@@ -24,6 +23,7 @@ from homomesy.engine import (
 from homomesy.guards import GuardExceeded
 from homomesy.posets import Antichain, OrderIdeal
 from homomesy.rationals import exact, parse_rational
+from reference import invariant_homomesic_decomposition
 
 
 def rotate_mod(n):

@@ -4,14 +4,17 @@ Each `console` block is a list of `$ homomesy ...` commands, each followed
 by its expected stdout, where a `...` line stands for any number of
 omitted lines. The commands run in process through `cli.main`, in a
 directory holding `cycle4.sg` from the README's graph block. The library
-quick start runs as is.
+quick start runs as is, and the README's code names every export of
+`homomesy` and imports nothing else from it.
 """
+import ast
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import homomesy
 from homomesy.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -78,6 +81,15 @@ def test_console_example(capsys, monkeypatch, tmp_path, command, expected):
 def test_library_quick_start():
     (source,) = blocks("python")
     exec(compile(source, "README.md", "exec"), {})
+
+
+def test_the_readme_and_the_exports_agree():
+    code = "\n".join(re.findall(r"`([^`\n]+)`", README) + blocks("python"))
+    assert [name for name in homomesy.__all__ if not re.search(rf"\b{name}\b", code)] == []
+    imported = [alias.name for body in blocks("python") for node in ast.walk(ast.parse(body))
+                if isinstance(node, ast.ImportFrom) and node.module == "homomesy"
+                for alias in node.names]
+    assert imported and set(imported) <= set(homomesy.__all__)
 
 
 @pytest.mark.parametrize("expected,actual,ok", [

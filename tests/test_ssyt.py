@@ -7,13 +7,13 @@ from homomesy.engine import check_homomesy, iterate_orbit
 from homomesy.gallery.ssyt import (
     SSYT,
     all_cells,
-    bender_knuth,
     cell_sum_statistic,
     centrally_symmetric_cell_sets,
     rect_tableaux,
     ssyt_promotion,
 )
 from homomesy.guards import GuardExceeded
+from reference import bender_knuth
 
 
 def T(ceiling, *rows):

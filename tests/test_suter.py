@@ -5,7 +5,6 @@ import pytest
 
 from homomesy.engine import check_homomesy, iterate_orbit, orbit_partition
 from homomesy.gallery.suter import (
-    box_weights,
     diagonal_weight_statistic,
     is_staircase_member,
     staircase_diagrams,
@@ -13,6 +12,7 @@ from homomesy.gallery.suter import (
     weight_statistic,
 )
 from homomesy.guards import GuardExceeded
+from reference import box_weights
 
 
 def test_membership():
