@@ -10,7 +10,7 @@ rational arithmetic, and extracts homomesic subspaces.
 """
 
 from .guards import DEFAULT_ENUMERATION_GUARD, DEFAULT_ORBIT_GUARD, GuardExceeded
-from .posets import Antichain, FinitePoset, GridPoset, OrderIdeal
+from .posets import FinitePoset, GridPoset
 from .dynamics import (
     antichain_from_st_word,
     cyclic_shift,
@@ -41,7 +41,6 @@ from .engine import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Antichain",
     "DEFAULT_ENUMERATION_GUARD",
     "DEFAULT_ORBIT_GUARD",
     "FinitePoset",
@@ -50,7 +49,6 @@ __all__ = [
     "HomomesyReport",
     "Orbit",
     "OrbitSummary",
-    "OrderIdeal",
     "Statistic",
     "antichain_from_st_word",
     "check_homomesy",

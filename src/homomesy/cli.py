@@ -121,7 +121,8 @@ def _grid_bundle(args) -> Bundle:
     if args.system.endswith("-ideals"):
         # any generating set works as a seed: the seed ideal is its down closure
         kind, stat_name, states, seed_state = (
-            "order-ideals", "ideal-size", poset.enumerate_order_ideals, poset.down_closure)
+            "order-ideals", "ideal-size", poset.enumerate_order_ideals,
+            lambda items: poset.down_closure(poset.element_mask(items)))
         tau = (lambda s: promotion_ideal(poset, s)) if promo else (
             lambda s: rowmotion_ideal(poset, s))
     else:
@@ -134,7 +135,7 @@ def _grid_bundle(args) -> Bundle:
         space_doc={"kind": kind, "poset": {"a": poset.a, "b": poset.b}},
         space=states(args.guard),
         tau=tau,
-        stats={stat_name: lambda: Statistic.scalar(stat_name, len)},
+        stats={stat_name: lambda: Statistic.scalar(stat_name, int.bit_count)},
         to_json=poset.state_pairs,
         to_text=lambda s: json.dumps(poset.state_pairs(s), separators=(",", ":")),
         parse_seed=lambda text: seed_state(_parse_cell_pairs(text)),
@@ -444,7 +445,7 @@ def _run_lyness(args, verdict: bool) -> int:
         return format_rational(s.x), format_rational(s.y)
 
     def doc():
-        return {
+        document = {
             "map": "lyness step (x, y) -> (y, (y+1)/x)",
             "space": {"kind": "rational-pairs",
                       "constraints": "x, y, x+1, y+1, x+y+1 all nonzero"},
@@ -457,9 +458,10 @@ def _run_lyness(args, verdict: bool) -> int:
                 "abs-h-values": [format_rational(abs_h(s.x)) for s in cycle],
                 "abs-h-product": format_rational(product),
             }],
-            "homomesic": homomesic,
-            "c": "0" if homomesic else None,
         }
+        if verdict:
+            document |= {"homomesic": homomesic, "c": "0" if homomesic else None}
+        return document
     csv_rows = chain([("x", "y", "abs_h_of_x")],
                      ((*pair(s), format_rational(abs_h(s.x))) for s in cycle))
     table = chain(

@@ -1,6 +1,8 @@
 """Dynamics on products of two chains: rowmotion, promotion, words.
 
-Conventions fixed here once and used everywhere:
+A state is a plain int, the bitmask of an order ideal or an antichain over
+the poset's element order (see homomesy.posets); every map here takes and
+returns one. Conventions fixed here once and used everywhere:
 
 * rowmotion on ideals sends I to the down closure of the minimal elements
   of its complement; as a product of toggles (Striker-Williams 2012) it
@@ -21,19 +23,19 @@ references the tests hold these maps to; they live in tests/reference.py.
 """
 from __future__ import annotations
 
-from .posets import Antichain, FinitePoset, GridPoset, OrderIdeal
+from .posets import FinitePoset, GridPoset
 
 PLUS, MINUS = 1, -1
 
 
 # -- rowmotion ---------------------------------------------------------------
 
-def rowmotion_ideal(poset: FinitePoset, ideal: OrderIdeal) -> OrderIdeal:
+def rowmotion_ideal(poset: FinitePoset, ideal: int) -> int:
     """Rowmotion on order ideals: down closure of the complement's minimals."""
     return poset.down_closure(poset.minimal_elements_of_complement(ideal))
 
 
-def rowmotion_antichain(poset: FinitePoset, antichain: Antichain) -> Antichain:
+def rowmotion_antichain(poset: FinitePoset, antichain: int) -> int:
     """Rowmotion on antichains: minimal elements of the complement of the
     ideal the antichain generates."""
     return poset.minimal_elements_of_complement(poset.down_closure(antichain))
@@ -41,7 +43,7 @@ def rowmotion_antichain(poset: FinitePoset, antichain: Antichain) -> Antichain:
 
 # -- promotion ---------------------------------------------------------------
 
-def promotion_ideal(poset: GridPoset, ideal: OrderIdeal) -> OrderIdeal:
+def promotion_ideal(poset: GridPoset, ideal: int) -> int:
     """Promotion on order ideals of [a] x [b]: file toggles, left to right.
 
     These rotate the sign word, the partition's boundary read top row first
@@ -53,18 +55,18 @@ def promotion_ideal(poset: GridPoset, ideal: OrderIdeal) -> OrderIdeal:
     if not isinstance(poset, GridPoset):
         raise ValueError("promotion is defined on grid posets")
     if ideal >> (poset.a - 1) * poset.b & 1:
-        return OrderIdeal((ideal >> 1) & ~poset.lastcol)
-    return OrderIdeal((ideal << poset.b) & poset.full_mask | poset.row1)
+        return (ideal >> 1) & ~poset.lastcol
+    return (ideal << poset.b) & poset.full_mask | poset.row1
 
 
-def promotion_antichain(poset: GridPoset, antichain: Antichain) -> Antichain:
+def promotion_antichain(poset: GridPoset, antichain: int) -> int:
     """Promotion transported to antichains through the ideal bijection."""
     return poset.maximal_elements(promotion_ideal(poset, poset.down_closure(antichain)))
 
 
 # -- sign words ----------------------------------------------------------------
 
-def sign_word(poset: GridPoset, ideal: OrderIdeal) -> tuple[int, ...]:
+def sign_word(poset: GridPoset, ideal: int) -> tuple[int, ...]:
     """Increments of the height function: a+b letters from {+1, -1}.
 
     This is the partition's boundary, read from its row lengths in O(a+b)
@@ -82,7 +84,7 @@ def sign_word(poset: GridPoset, ideal: OrderIdeal) -> tuple[int, ...]:
     return tuple(word)
 
 
-def ideal_from_sign_word(poset: GridPoset, word) -> OrderIdeal:
+def ideal_from_sign_word(poset: GridPoset, word) -> int:
     """Inverse of sign_word; validates the letter multiset. Top row first,
     each -1 closes a row as long as the +1s seen so far."""
     mask = length = 0
@@ -91,7 +93,7 @@ def ideal_from_sign_word(poset: GridPoset, word) -> OrderIdeal:
             length += 1
         else:
             mask = mask << poset.b | (1 << length) - 1
-    return OrderIdeal(mask)
+    return mask
 
 
 def require_pm_word(word, minuses: int, pluses: int) -> tuple[int, ...]:
@@ -109,7 +111,7 @@ def require_pm_word(word, minuses: int, pluses: int) -> tuple[int, ...]:
 
 # -- Stanley-Thomas words ------------------------------------------------------
 
-def stanley_thomas_word(poset: GridPoset, antichain: Antichain) -> tuple[int, ...]:
+def stanley_thomas_word(poset: GridPoset, antichain: int) -> tuple[int, ...]:
     """Word of length a+b: position k <= a is +1 when the antichain meets
     positive fiber k (row k of the mask); position a+l is +1 when it misses
     negative fiber l (column l)."""
@@ -119,13 +121,13 @@ def stanley_thomas_word(poset: GridPoset, antichain: Antichain) -> tuple[int, ..
     return tuple(head + tail)
 
 
-def antichain_from_st_word(poset: GridPoset, word) -> Antichain:
+def antichain_from_st_word(poset: GridPoset, word) -> int:
     """Inverse of stanley_thomas_word; validates the letter multiset."""
     word = require_pm_word(word, poset.a, poset.b)
     rows = [k for k in range(poset.a) if word[k] == PLUS]
     cols = [l for l in range(poset.b) if word[poset.a + l] == MINUS]
     # ascending rows pair with descending columns; (k+1, l+1) is bit k*b + l
-    return Antichain(sum(1 << k * poset.b + l for k, l in zip(rows, reversed(cols))))
+    return sum(1 << k * poset.b + l for k, l in zip(rows, reversed(cols)))
 
 
 # -- word utilities -----------------------------------------------------------

@@ -1,10 +1,9 @@
 """Finite posets with bitmask order-ideal and antichain state spaces.
 
-A poset fixes its element order at construction time; ideals and
-antichains are immutable bitmasks relative to that order. A state is the
-int it stores, so it is hashable, totally ordered by mask value, and
-equal to its mask, and bit operations read it directly. Everything here
-is pure: no method mutates a state.
+A poset fixes its element order at construction time; an order ideal or
+an antichain is a plain int, the bitmask of its elements in that order.
+Every kernel and enumeration takes and returns such ints; element labels
+enter only through element_mask. Everything here is pure.
 """
 from __future__ import annotations
 
@@ -19,33 +18,6 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-class _MaskState(int):
-    """A subset of a poset's elements: the bitmask over its element order.
-
-    Hash, equality and order are the int's, so a state equals its mask and
-    bit operations on it return a plain int.
-    """
-
-    __slots__ = ()
-    mask = property(int)
-    __len__ = int.bit_count
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(mask={int(self)})"
-
-
-class OrderIdeal(_MaskState):
-    """A down-closed subset, stored as a bitmask over the poset's element order."""
-
-    __slots__ = ()
-
-
-class Antichain(_MaskState):
-    """A pairwise-incomparable subset, stored as a bitmask."""
-
-    __slots__ = ()
 
 
 def check_grid_guard(a: int, b: int, guard: int | None = None) -> None:
@@ -124,7 +96,7 @@ class FinitePoset:
         return mask
 
     def members(self, state) -> tuple:
-        """Decode an ideal/antichain/raw mask into elements, in element order."""
+        """Decode a mask into its elements, in element order."""
         return tuple(self.elements[i] for i in iter_bits(state))
 
     # -- ideal / antichain machinery --------------------------------------
@@ -135,36 +107,31 @@ class FinitePoset:
 
     def is_antichain_mask(self, mask: int) -> bool:
         return (0 <= mask <= self.full_mask
-                and self.maximal_elements(self.down_closure(Antichain(mask))) == mask)
+                and self.maximal_elements(self.down_closure(mask)) == mask)
 
-    def antichain(self, items) -> Antichain:
-        """Build an Antichain from an element set, validating incomparability."""
+    def antichain(self, items) -> int:
+        """The mask of an element set, validating incomparability."""
         mask = self.element_mask(items)
         if not self.is_antichain_mask(mask):
             raise ValueError("element set contains a comparable pair")
-        return Antichain(mask)
+        return mask
 
-    def down_closure(self, generators) -> OrderIdeal:
-        """Smallest order ideal containing the given elements.
+    def down_closure(self, mask: int) -> int:
+        """Smallest order ideal containing the elements of mask."""
+        ideal = 0
+        for i in iter_bits(mask):
+            ideal |= self.below[i]
+        return ideal
 
-        Accepts an Antichain, an OrderIdeal, or any iterable of elements.
-        """
-        if not isinstance(generators, (Antichain, OrderIdeal)):
-            generators = self.element_mask(generators)
-        mask = 0
-        for i in iter_bits(generators):
-            mask |= self.below[i]
-        return OrderIdeal(mask)
-
-    def maximal_elements(self, ideal: OrderIdeal) -> Antichain:
+    def maximal_elements(self, ideal: int) -> int:
         """Maximal elements of an order ideal (the inverse of down_closure)."""
         mask = 0
         for i in iter_bits(ideal):
             if not (self.up_covers[i] & ideal):
                 mask |= 1 << i
-        return Antichain(mask)
+        return mask
 
-    def minimal_elements_of_complement(self, ideal: OrderIdeal) -> Antichain:
+    def minimal_elements_of_complement(self, ideal: int) -> int:
         """Minimal elements of the complement of an order ideal."""
         mask = 0
         comp = self.full_mask & ~ideal
@@ -172,9 +139,9 @@ class FinitePoset:
             if self.down_covers[i] & ~ideal:
                 continue
             mask |= 1 << i
-        return Antichain(mask)
+        return mask
 
-    def enumerate_order_ideals(self, guard: int | None = None) -> list[OrderIdeal]:
+    def enumerate_order_ideals(self, guard: int | None = None) -> list[int]:
         """All order ideals, sorted by ascending mask value.
 
         One sweep along the linear extension: every prefix is an ideal, and
@@ -186,17 +153,17 @@ class FinitePoset:
         ideals is built.
         """
         guard = DEFAULT_ENUMERATION_GUARD if guard is None else guard
-        ideals = [OrderIdeal(0)]
+        ideals = [0]
         for i in self._extension:
             covers, bit = self.down_covers[i], 1 << i
             grown = [m for m in ideals if m & covers == covers]
             if len(ideals) + len(grown) > guard:
                 raise GuardExceeded(f"more than {guard} order ideals; raise the guard to proceed")
-            ideals += [OrderIdeal(m | bit) for m in grown]
+            ideals += [m | bit for m in grown]
         ideals.sort()
         return ideals
 
-    def enumerate_antichains(self, guard: int | None = None) -> list[Antichain]:
+    def enumerate_antichains(self, guard: int | None = None) -> list[int]:
         """All antichains, sorted by ascending mask value.
 
         Images of the order ideals under maximal_elements; this is the
@@ -275,7 +242,7 @@ class GridPoset(FinitePoset):
         k, l = x
         return (self.a + 1 - k, self.b + 1 - l)
 
-    def enumerate_order_ideals(self, guard: int | None = None) -> list[OrderIdeal]:
+    def enumerate_order_ideals(self, guard: int | None = None) -> list[int]:
         """All order ideals, sorted by ascending mask value.
 
         An ideal is a partition in the a x b box, b >= r_1 >= ... >= r_a >= 0,
@@ -288,37 +255,34 @@ class GridPoset(FinitePoset):
         check_grid_guard(self.a, self.b, guard)
         b = self.b
         # starts[r]: where the masks whose top row has length >= r begin
-        masks, starts = [OrderIdeal(0)], [0] * (b + 1)
+        masks, starts = [0], [0] * (b + 1)
         for shift in range(0, self.a * b, b):
             # an empty new row keeps every mask as it is; longer ones append
             end, starts_next = len(masks), [0]
             for r in range(1, b + 1):
                 starts_next.append(len(masks))
                 row = ((1 << r) - 1) << shift
-                masks += [OrderIdeal(row | m) for m in masks[starts[r]:end]]
+                masks += [row | m for m in masks[starts[r]:end]]
             starts = starts_next
         return masks
 
-    def down_closure(self, generators) -> OrderIdeal:
-        m = generators
-        if not isinstance(m, (Antichain, OrderIdeal)):
-            m = self.element_mask(m)
+    def down_closure(self, m: int) -> int:
         for s in self._column_shifts:
             m |= m >> s
         for s, keep in self._row_lanes:
             m |= (m >> s) & keep
-        return OrderIdeal(m)
+        return m
 
-    def maximal_elements(self, ideal: OrderIdeal) -> Antichain:
-        return Antichain(ideal & ~((ideal >> 1) & ~self.lastcol) & ~(ideal >> self.b))
+    def maximal_elements(self, ideal: int) -> int:
+        return ideal & ~((ideal >> 1) & ~self.lastcol) & ~(ideal >> self.b)
 
-    def minimal_elements_of_complement(self, ideal: OrderIdeal) -> Antichain:
+    def minimal_elements_of_complement(self, ideal: int) -> int:
         m, full, col1 = ideal, self.full_mask, self.col1
-        return Antichain(full & ~m & (((m << 1) & ~col1) | col1)
-                         & (((m << self.b) & full) | self.row1))
+        return (full & ~m & (((m << 1) & ~col1) | col1)
+                & (((m << self.b) & full) | self.row1))
 
     # -- serialization helpers -------------------------------------------
 
     def state_pairs(self, state) -> list[list[int]]:
-        """Ideal/antichain as a sorted list of [k, l] pairs (JSON shape)."""
+        """A mask as a sorted list of [k, l] pairs (JSON shape)."""
         return [[k, l] for (k, l) in self.members(state)]

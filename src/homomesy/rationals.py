@@ -20,8 +20,11 @@ def exact(value) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Lowest-terms p/q, or a bare integer when the denominator is 1."""
-    value = Fraction(value)
+    """Lowest-terms p/q of an int or Fraction, or a bare integer when the
+    denominator is 1. Any other value, a float or a string included, is
+    refused."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{value!r} is not an int or a Fraction")
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -12,27 +12,27 @@ from homomesy.dynamics import MINUS, PLUS, format_pm_word, parse_pm_word, sign_w
 from homomesy.engine import Statistic, orbit_partition, summarize_orbits
 from homomesy.gallery.ssyt import _bender_knuth_steps
 from homomesy.gallery.suter import require_member
-from homomesy.posets import FinitePoset, GridPoset, OrderIdeal
+from homomesy.posets import FinitePoset, GridPoset
 
 
 # -- posets -------------------------------------------------------------------
 
 def leq(poset, x, y) -> bool:
     """True when x <= y in the poset order."""
-    return bool(poset.down_closure((y,)) & poset.element_mask((x,)))
+    return bool(poset.down_closure(poset.element_mask((y,))) & poset.element_mask((x,)))
 
 
 def is_ideal_mask(poset, mask: int) -> bool:
     """Whether mask is a down-closed set of the poset's elements."""
-    return 0 <= mask <= poset.full_mask and poset.down_closure(OrderIdeal(mask)) == mask
+    return 0 <= mask <= poset.full_mask and poset.down_closure(mask) == mask
 
 
-def ideal_of(poset, items) -> OrderIdeal:
-    """An OrderIdeal from an element set, validating down-closure."""
+def ideal_of(poset, items) -> int:
+    """The mask of an element set, validating down-closure."""
     mask = poset.element_mask(items)
     if not is_ideal_mask(poset, mask):
         raise ValueError("element set is not down-closed")
-    return OrderIdeal(mask)
+    return mask
 
 
 def linear_extension(poset) -> tuple:
@@ -57,20 +57,20 @@ def plain_poset(grid):
 
 # -- toggles and rowmotion ----------------------------------------------------
 
-def toggle(poset, ideal, x) -> OrderIdeal:
+def toggle(poset, ideal, x) -> int:
     """Add or remove x when the result is still an ideal; otherwise return I."""
     poset.element_mask((x,))  # refuses a non-element
     return _toggle_index(poset, ideal, poset.index[x])
 
 
-def _toggle_index(poset, ideal, i: int) -> OrderIdeal:
+def _toggle_index(poset, ideal, i: int) -> int:
     # x can leave I when it is maximal in I, and join when it is minimal
     # outside I
     movable = poset.maximal_elements(ideal) | poset.minimal_elements_of_complement(ideal)
-    return OrderIdeal(ideal ^ (movable & 1 << i))
+    return ideal ^ (movable & 1 << i)
 
 
-def rowmotion_ideal_by_toggles(poset, ideal, extension=None) -> OrderIdeal:
+def rowmotion_ideal_by_toggles(poset, ideal, extension=None) -> int:
     """Rowmotion as a product of element toggles along a linear extension.
 
     The toggle at the top of the extension is applied first. The result is
@@ -94,7 +94,7 @@ def rowmotion_ideal_by_toggles(poset, ideal, extension=None) -> OrderIdeal:
     return ideal
 
 
-def rowmotion_ideal_by_ranks(poset, ideal) -> OrderIdeal:
+def rowmotion_ideal_by_ranks(poset, ideal) -> int:
     """Rowmotion as rank toggles, top rank first (grid posets only): the
     ranks listed in order are a linear extension, and toggles inside a rank
     commute. (k, l) has rank k + l - 2, so sum orders by rank."""

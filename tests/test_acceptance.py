@@ -51,7 +51,7 @@ from homomesy.gallery.suter import (
     weight_statistic,
 )
 from homomesy.gallery.words import ballot_system, cyclic_inversions_system
-from homomesy.posets import FinitePoset, GridPoset, OrderIdeal
+from homomesy.posets import FinitePoset, GridPoset
 from reference import (
     block_gap_reversal,
     height_function,
@@ -72,7 +72,7 @@ def criterion(number: int, text: str):
 
 
 def ideal_size(poset):
-    return Statistic.scalar("ideal-size", len)
+    return Statistic.scalar("ideal-size", int.bit_count)
 
 
 def grid_range(limit):
@@ -104,7 +104,7 @@ def test_criterion_01_promotion_ideal_means():
         orbits = orbit_partition(lambda s: promotion_ideal(poset, s),
                                  poset.enumerate_order_ideals())
         assert [o.period for o in orbits] == [5, 5]
-        empty_orbit = next(o for o in orbits if OrderIdeal(0) in o.states)
+        empty_orbit = next(o for o in orbits if 0 in o.states)
         words = [format_pm_word(sign_word(poset, s)) for s in empty_orbit.states]
         assert words == ["---++", "--++-", "-++--", "++---", "+---+"]
         for orbit in orbits:
@@ -133,7 +133,7 @@ def test_criterion_03_rowmotion_antichain_means():
                     hits[k - 1] += 1
                 return hits
 
-            size = Statistic.scalar("antichain-size", len)
+            size = Statistic.scalar("antichain-size", int.bit_count)
             fibers = Statistic("fiber-counts", a, fiber_counts)
             orbits = orbit_partition(lambda s, p=poset: rowmotion_antichain(p, s),
                                      poset.enumerate_antichains())
@@ -147,7 +147,7 @@ def test_criterion_04_promotion_antichain_counterexample():
         poset = GridPoset(3, 2)
         report = check_homomesy(lambda s: promotion_antichain(poset, s),
                                 poset.enumerate_antichains(),
-                                Statistic.scalar("antichain-size", len))
+                                Statistic.scalar("antichain-size", int.bit_count))
         assert not report.homomesic
         averages = sorted(s.average[0] for s in report.orbit_summaries)
         assert averages == [Fraction(4, 5), Fraction(8, 5)]
@@ -182,7 +182,7 @@ def test_criterion_06_height_identity():
             a, b = poset.a, poset.b
             for ideal in poset.enumerate_order_ideals():
                 total = sum(height_function(poset, ideal))
-                assert total - a * (a + 1) // 2 - b * (b + 1) // 2 == 2 * len(ideal)
+                assert total - a * (a + 1) // 2 - b * (b + 1) // 2 == 2 * ideal.bit_count()
 
 
 def test_criterion_07_rotation_on_words():
@@ -353,7 +353,7 @@ def test_criterion_12_homomesic_subspace():
                 poset = GridPoset(a, b)
                 elements = poset.elements
                 n = len(elements)
-                indicators = Statistic("e", n, lambda s: [s.mask >> i & 1 for i in range(n)])
+                indicators = Statistic("e", n, lambda s: [s >> i & 1 for i in range(n)])
 
                 ideal_vectors = homomesic_subspace(
                     lambda s: rowmotion_ideal(poset, s),
@@ -403,10 +403,10 @@ def test_criterion_13_decomposition():
         systems = [
             (poset.enumerate_order_ideals(),
              lambda s: rowmotion_ideal(poset, s),
-             Statistic.scalar("ideal-size", len)),
+             Statistic.scalar("ideal-size", int.bit_count)),
             (poset.enumerate_antichains(),
              lambda s: promotion_antichain(poset, s),
-             Statistic.scalar("antichain-size", len)),
+             Statistic.scalar("antichain-size", int.bit_count)),
             cyclic_inversions_system(3, 2),
             (staircase_diagrams(5), lambda d: suter_rho(5, d), weight_statistic(5)),
             (rect_tableaux(2, 2, 4), ssyt_promotion,
@@ -461,6 +461,6 @@ def test_criterion_14_root_poset_antichains():
             chains = poset.enumerate_antichains()
             assert len(chains) == comb(2 * n + 2, n + 1) // (n + 2)  # Catalan(n + 1)
             report = check_homomesy(lambda s, p=poset: rowmotion_antichain(p, s), chains,
-                                    Statistic.scalar("antichain-size", len))
+                                    Statistic.scalar("antichain-size", int.bit_count))
             assert report.homomesic
             assert report.c == (Fraction(n, 2),)

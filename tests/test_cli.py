@@ -535,6 +535,14 @@ class TestLyness:
         code, out, err = run(capsys, "check", "lyness", "--seed", "1,2,3")
         assert code == 2
 
+    def test_orbits_json_leaves_the_verdict_to_check(self, capsys):
+        code, out, err = run(capsys, "orbits", "lyness", "--seed", "5/3,2/3",
+                             "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert "homomesic" not in doc and "c" not in doc
+        assert doc["orbits"][0]["abs-h-product"] == "1"
+
     def test_orbits_subcommand(self, capsys):
         code, out, err = run(capsys, "orbits", "lyness", "--seed", "2,2",
                              "--format", "csv")
@@ -649,7 +657,7 @@ def flags_from_orbit_averages(system, a, b):
     space = poset.enumerate_order_ideals() if on_ideals else poset.enumerate_antichains()
     orbits = orbit_partition(lambda s: tau_of(poset, s), space)
     indicators = {
-        x: Statistic.scalar(str(x), (lambda i: lambda s: s.mask >> i & 1)(poset.index[x]))
+        x: Statistic.scalar(str(x), (lambda i: lambda s: s >> i & 1)(poset.index[x]))
         for x in poset.elements
     }
     averages = [{x: orbit_average(stat, o)[0] for x, stat in indicators.items()}

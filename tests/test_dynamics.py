@@ -18,7 +18,7 @@ from homomesy.dynamics import (
     sign_word,
     stanley_thomas_word,
 )
-from homomesy.posets import Antichain, FinitePoset, GridPoset, OrderIdeal
+from homomesy.posets import FinitePoset, GridPoset
 from reference import (
     block_gap_reversal,
     grid_covers,
@@ -36,11 +36,12 @@ DIAMOND = FinitePoset("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
 VEE = FinitePoset(["bot", "l", "r"], [("bot", "l"), ("bot", "r")])
 
 
-def reference_promotion_ideal(poset, ideal):
-    """Promotion as single-element toggles: files left to right, bottom to
-    top inside each file."""
-    for f in poset.files:
-        for x in poset.members(poset.file_mask(f)):
+def reference_promotion_ideal(grid, ideal, poset=None):
+    """Promotion as single-element toggles in poset, the grid itself unless
+    given: the grid's files left to right, bottom to top inside each file."""
+    poset = grid if poset is None else poset
+    for f in grid.files:
+        for x in grid.members(grid.file_mask(f)):
             ideal = toggle(poset, ideal, x)
     return ideal
 
@@ -97,19 +98,19 @@ class TestToggles:
     def test_toggle_requires_known_element(self):
         poset = GridPoset(2, 2)
         with pytest.raises(ValueError):
-            toggle(poset, OrderIdeal(0), (9, 9))
+            toggle(poset, 0, (9, 9))
 
     @pytest.mark.parametrize("poset", [GridPoset(2, 2), DIAMOND], ids=["grid", "diamond"])
     def test_a_non_element_is_named_by_the_element_check(self, poset):
         with pytest.raises(ValueError, match=r"^\(9, 9\) is not an element of this poset$"):
-            toggle(poset, OrderIdeal(0), (9, 9))
+            toggle(poset, 0, (9, 9))
 
     def test_toggle_is_an_involution(self):
         poset = GridPoset(3, 3)
         for ideal in poset.enumerate_order_ideals():
             for x in poset.elements:
                 once = toggle(poset, ideal, x)
-                assert is_ideal_mask(poset, once.mask)
+                assert is_ideal_mask(poset, once)
                 assert toggle(poset, once, x) == ideal
 
     def test_toggles_commute_unless_covering(self):
@@ -153,10 +154,9 @@ class TestRowmotionRoutes:
     def test_toggle_route_rejects_bad_extension(self):
         poset = GridPoset(2, 2)
         with pytest.raises(ValueError, match="not a linear extension"):
-            rowmotion_ideal_by_toggles(poset, OrderIdeal(0),
-                                       [(2, 2), (1, 1), (1, 2), (2, 1)])
+            rowmotion_ideal_by_toggles(poset, 0, [(2, 2), (1, 1), (1, 2), (2, 1)])
         with pytest.raises(ValueError, match="every element"):
-            rowmotion_ideal_by_toggles(poset, OrderIdeal(0), [(1, 1)])
+            rowmotion_ideal_by_toggles(poset, 0, [(1, 1)])
 
     def test_toggle_route_refuses_a_repeated_element(self):
         abc = ideal_of(DIAMOND, "abc")
@@ -166,12 +166,12 @@ class TestRowmotionRoutes:
 
     def test_toggle_route_names_an_unknown_element(self):
         with pytest.raises(ValueError, match="'z' is not an element"):
-            rowmotion_ideal_by_toggles(DIAMOND, OrderIdeal(0), ["a", "b", "c", "z"])
+            rowmotion_ideal_by_toggles(DIAMOND, 0, ["a", "b", "c", "z"])
 
     def test_rank_route_requires_grid(self):
         poset = FinitePoset("ab", [("a", "b")])
         with pytest.raises(ValueError, match="grid"):
-            rowmotion_ideal_by_ranks(poset, OrderIdeal(0))
+            rowmotion_ideal_by_ranks(poset, 0)
 
     def test_ideal_and_antichain_rowmotion_intertwine(self):
         # Phi_A acts on maximal elements the way Phi_J acts on ideals:
@@ -202,7 +202,7 @@ class TestPromotion:
     def test_promotion_requires_grid(self):
         poset = FinitePoset("ab", [("a", "b")])
         with pytest.raises(ValueError, match="grid"):
-            promotion_ideal(poset, OrderIdeal(0))
+            promotion_ideal(poset, 0)
 
     def test_promotion_order_divides_a_plus_b(self):
         poset = GridPoset(3, 4)
@@ -234,18 +234,56 @@ class TestGridKernelsMatchGeneric:
             assert promotion_antichain(grid, chain) == plain.maximal_elements(
                 reference_promotion_ideal(grid, plain.down_closure(chain)))
 
+    @pytest.mark.parametrize("a,b", [(a, b) for a in range(1, 4) for b in range(1, 4)])
+    def test_states_are_plain_ints_on_both_posets(self, a, b):
+        # every ideal and antichain as a plain int mask, through the three
+        # kernels and the four maps; promotion on the generic poset is the
+        # product of the grid's file toggles
+        grid = GridPoset(a, b)
+        plain = plain_poset(grid)
+        masks = range(grid.full_mask + 1)
+        ideals = [m for m in masks if is_ideal_mask(plain, m)]
+        chains = [m for m in masks if plain.is_antichain_mask(m)]
+        on_ideals = [
+            (grid.maximal_elements, plain.maximal_elements),
+            (grid.minimal_elements_of_complement, plain.minimal_elements_of_complement),
+            (lambda s: rowmotion_ideal(grid, s), lambda s: rowmotion_ideal(plain, s)),
+            (lambda s: promotion_ideal(grid, s),
+             lambda s: reference_promotion_ideal(grid, s, plain)),
+        ]
+        on_chains = [
+            (grid.down_closure, plain.down_closure),
+            (lambda s: rowmotion_antichain(grid, s), lambda s: rowmotion_antichain(plain, s)),
+            (lambda s: promotion_antichain(grid, s),
+             lambda s: plain.maximal_elements(
+                 reference_promotion_ideal(grid, plain.down_closure(s), plain))),
+        ]
+        for poset in (grid, plain):
+            listed = (poset.enumerate_order_ideals(), poset.enumerate_antichains())
+            assert listed == (ideals, chains)
+            assert all(type(s) is int for s in listed[0] + listed[1])
+        for states, maps in ((ideals, on_ideals), (chains, on_chains)):
+            for state in states:
+                for on_grid, on_plain in maps:
+                    got, want = on_grid(state), on_plain(state)
+                    assert type(got) is int and type(want) is int
+                    assert got == want
+
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (4, 4), (5, 2)])
     def test_every_result_is_a_state_of_its_kind(self, a, b):
+        # a state is a plain int, so only its bits tell an ideal from an antichain
         poset = GridPoset(a, b)
         for ideal in poset.enumerate_order_ideals():
-            assert type(ideal) is OrderIdeal
+            assert type(ideal) is int
             for tau in (rowmotion_ideal, promotion_ideal, rowmotion_ideal_by_ranks,
                         rowmotion_ideal_by_toggles):
-                assert type(tau(poset, ideal)) is OrderIdeal
+                image = tau(poset, ideal)
+                assert type(image) is int and is_ideal_mask(poset, image)
         for chain in poset.enumerate_antichains():
-            assert type(chain) is Antichain
+            assert type(chain) is int
             for tau in (rowmotion_antichain, promotion_antichain):
-                assert type(tau(poset, chain)) is Antichain
+                image = tau(poset, chain)
+                assert type(image) is int and poset.is_antichain_mask(image)
 
     @pytest.mark.parametrize("a,b", [(1, b) for b in range(1, 13)] + [(a, 1) for a in range(2, 13)]
                              + [(2, 9), (9, 2)])
@@ -278,7 +316,7 @@ class TestHeightFunction:
 
     def test_paper_conventions(self):
         poset = GridPoset(3, 2)
-        h = height_function(poset, OrderIdeal(0))
+        h = height_function(poset, 0)
         assert h == (3, 2, 1, 0, 1, 2)
         assert h[-3 + 3] == 3 and h[0 + 3] == 0 and h[2 + 3] == 2
 
@@ -289,24 +327,23 @@ class TestHeightFunction:
             base = a * (a + 1) // 2 + b * (b + 1) // 2
             for ideal in poset.enumerate_order_ideals():
                 h = height_function(poset, ideal)
-                assert sum(h) == base + 2 * len(ideal)
+                assert sum(h) == base + 2 * ideal.bit_count()
 
     def test_height_counts_file_members(self):
         poset = GridPoset(3, 3)
-        ideal = poset.down_closure([(2, 2)])
+        ideal = poset.down_closure(poset.element_mask([(2, 2)]))
         h = height_function(poset, ideal)
         for f in poset.files:
             members = sum(1 for x in poset.members(poset.file_mask(f))
-                          if ideal.mask >> poset.index[x] & 1)
+                          if ideal >> poset.index[x] & 1)
             assert h[f + poset.a] == abs(f) + 2 * members
 
 
 class TestSignWords:
     def test_empty_and_full(self):
         poset = GridPoset(3, 2)
-        assert sign_word(poset, OrderIdeal(0)) == (MINUS,) * 3 + (PLUS,) * 2
-        full = OrderIdeal(poset.full_mask)
-        assert sign_word(poset, full) == (PLUS,) * 2 + (MINUS,) * 3
+        assert sign_word(poset, 0) == (MINUS,) * 3 + (PLUS,) * 2
+        assert sign_word(poset, poset.full_mask) == (PLUS,) * 2 + (MINUS,) * 3
 
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 2), (3, 2), (2, 4), (3, 3)])
     def test_round_trip(self, a, b):
@@ -347,11 +384,11 @@ class TestSignWords:
     def test_promotion_orbit_of_the_empty_ideal(self):
         poset = GridPoset(3, 2)
         words = []
-        ideal = OrderIdeal(0)
+        ideal = 0
         for _ in range(5):
             words.append(format_pm_word(sign_word(poset, ideal)))
             ideal = promotion_ideal(poset, ideal)
-        assert ideal == OrderIdeal(0)
+        assert ideal == 0
         assert words == ["---++", "--++-", "-++--", "++---", "+---+"]
 
 
@@ -397,7 +434,7 @@ def reference_antichain_from_st_word(poset, word):
     mask = 0
     for k, l in zip(rows, reversed(cols)):
         mask |= 1 << poset.index[(k, l)]
-    return Antichain(mask)
+    return mask
 
 
 class TestStanleyThomas:
@@ -464,10 +501,11 @@ class TestWordUtilities:
 
     def test_rowmotion_orbit_words_on_4_by_2(self):
         poset = GridPoset(4, 2)
-        ideal = poset.down_closure([(2, 1)])
+        seed = poset.down_closure(poset.element_mask([(2, 1)]))
+        ideal = seed
         words = []
         for _ in range(6):
             words.append(format_pm_word(sign_word(poset, ideal)))
             ideal = rowmotion_ideal(poset, ideal)
-        assert ideal == poset.down_closure([(2, 1)])
+        assert ideal == seed
         assert words == ["--+--+", "-+--+-", "+--+--", "-++---", "+----+", "---++-"]

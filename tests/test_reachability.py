@@ -74,10 +74,8 @@ ALLOWED = {
     "posets.FinitePoset.maximal_elements",
     "posets.FinitePoset.minimal_elements_of_complement",
     "posets.FinitePoset.enumerate_order_ideals",
-    # README: len(poset) counts its elements, and a state's repr reads
-    # OrderIdeal(mask=5)
+    # README: len(poset) counts its elements
     "posets.FinitePoset.__len__",
-    "posets._MaskState.__repr__",
     # the word codecs, exported in README; ROADMAP item 3 runs orbits from them
     "dynamics.sign_word",
     "dynamics.ideal_from_sign_word",
