@@ -24,7 +24,6 @@ from .dynamics import (
 )
 from .engine import (
     HomomesyReport,
-    Orbit,
     OrbitSummary,
     Statistic,
     check_homomesy,
@@ -47,7 +46,6 @@ __all__ = [
     "GridPoset",
     "GuardExceeded",
     "HomomesyReport",
-    "Orbit",
     "OrbitSummary",
     "Statistic",
     "antichain_from_st_word",

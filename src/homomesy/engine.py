@@ -72,24 +72,10 @@ class Statistic:
         return cls(name, 1, fn)
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """One cycle of an invertible map, rotated to start at its smallest state."""
-
-    states: tuple
-
-    @property
-    def period(self) -> int:
-        return len(self.states)
-
-    @property
-    def representative(self):
-        return self.states[0]
-
-
-def iterate_orbit(tau: Callable, start, guard: int | None = None) -> Orbit:
-    """Follow tau from start until it returns; raise GuardExceeded if it
-    does not close within the budget (e.g. tau is not invertible there)."""
+def iterate_orbit(tau: Callable, start, guard: int | None = None) -> tuple:
+    """The cycle of tau through start, as a tuple that starts at its least
+    state; raise GuardExceeded if it does not close within the budget
+    (e.g. tau is not invertible there)."""
     guard = DEFAULT_ORBIT_GUARD if guard is None else guard
     states = [start]
     current = tau(start)
@@ -102,14 +88,15 @@ def iterate_orbit(tau: Callable, start, guard: int | None = None) -> Orbit:
         states.append(current)
         current = tau(current)
     pivot = states.index(min(states))
-    return Orbit(tuple(states[pivot:] + states[:pivot]))
+    return tuple(states[pivot:] + states[:pivot])
 
 
-def orbit_partition(tau: Callable, space, guard: int | None = None) -> list[Orbit]:
+def orbit_partition(tau: Callable, space, guard: int | None = None) -> list[tuple]:
     """Partition a finite tau-closed state space into orbits.
 
-    Orbits come back sorted by representative. A tau image outside the
-    space is reported as a closure violation.
+    Orbits come back sorted by their least state. A tau image outside the
+    space is reported as a closure violation that names the first such
+    state in orbit order.
     """
     pool = list(space)
     unvisited = set(pool)
@@ -120,22 +107,20 @@ def orbit_partition(tau: Callable, space, guard: int | None = None) -> list[Orbi
         if state not in unvisited:
             continue
         orbit = iterate_orbit(tau, state, guard)
-        for s in orbit.states:
-            if s not in unvisited:
-                raise ValueError(
-                    f"closure violation: the map leaves the state space at {s!r}"
-                )
-            unvisited.discard(s)
+        if not unvisited.issuperset(orbit):
+            s = next(s for s in orbit if s not in unvisited)
+            raise ValueError(f"closure violation: the map leaves the state space at {s!r}")
+        unvisited.difference_update(orbit)
         orbits.append(orbit)
-    orbits.sort(key=lambda o: o.representative)
+    orbits.sort()  # least states are distinct, so only index 0 is compared
     return orbits
 
 
-def orbit_average(statistic: Statistic, orbit: Orbit) -> tuple[Fraction, ...]:
+def orbit_average(statistic: Statistic, orbit: tuple) -> tuple[Fraction, ...]:
     """Componentwise exact mean of the statistic over one orbit: native
     (int or Fraction) sums, then one Fraction division per component."""
-    totals = (sum(column) for column in zip(*map(statistic, orbit.states)))
-    return tuple(Fraction(t, orbit.period) for t in totals)
+    totals = (sum(column) for column in zip(*map(statistic, orbit)))
+    return tuple(Fraction(t, len(orbit)) for t in totals)
 
 
 @dataclass(frozen=True)
@@ -154,7 +139,6 @@ class HomomesyReport:
     """
 
     statistic: str
-    dimension: int
     orbit_summaries: tuple[OrbitSummary, ...]
     global_average: tuple[Fraction, ...]
     homomesic: bool
@@ -170,7 +154,7 @@ class HomomesyReport:
         def fmt(vec):
             if vec is None:
                 return None
-            if self.dimension == 1:
+            if len(vec) == 1:
                 return format_rational(vec[0])
             return [format_rational(v) for v in vec]
 
@@ -205,7 +189,7 @@ def summarize_orbits(orbits, statistic: Statistic) -> HomomesyReport:
     if not orbits:
         raise ValueError("cannot check homomesy on an empty state space")
     summaries = tuple(
-        OrbitSummary(o.representative, o.period, orbit_average(statistic, o))
+        OrbitSummary(o[0], len(o), orbit_average(statistic, o))
         for o in orbits
     )
     homomesic = all(s.average == summaries[0].average for s in summaries)
@@ -218,7 +202,6 @@ def summarize_orbits(orbits, statistic: Statistic) -> HomomesyReport:
     )
     return HomomesyReport(
         statistic=statistic.name,
-        dimension=statistic.dimension,
         orbit_summaries=summaries,
         global_average=global_average,
         homomesic=homomesic,

@@ -3,7 +3,11 @@
 A poset fixes its element order at construction time; an order ideal or
 an antichain is a plain int, the bitmask of its elements in that order.
 Every kernel and enumeration takes and returns such ints; element labels
-enter only through element_mask. Everything here is pure.
+enter only through element_mask. The three kernels (down_closure,
+maximal_elements, minimal_elements_of_complement) take masks in
+0 .. full_mask and do not check them; element_mask, antichain,
+is_antichain_mask and members are the checked entry points. Everything
+here is pure.
 """
 from __future__ import annotations
 
@@ -13,7 +17,10 @@ from .guards import DEFAULT_ENUMERATION_GUARD, GuardExceeded, binomial_factors, 
 
 
 def iter_bits(mask: int):
-    """Yield the indices of the set bits of mask, ascending."""
+    """Yield the indices of the set bits of mask, ascending; a negative
+    mask, whose set bits never end, is refused."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -97,6 +104,8 @@ class FinitePoset:
 
     def members(self, state) -> tuple:
         """Decode a mask into its elements, in element order."""
+        if not 0 <= state <= self.full_mask:
+            raise ValueError(f"mask {state} is outside 0..{self.full_mask}")
         return tuple(self.elements[i] for i in iter_bits(state))
 
     # -- ideal / antichain machinery --------------------------------------

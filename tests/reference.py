@@ -155,7 +155,7 @@ def invariant_homomesic_decomposition(tau, space, statistic, guard=None):
     orbits = orbit_partition(tau, space, guard)
     summaries = summarize_orbits(orbits, statistic).orbit_summaries
     mean_by_state = {s: summary.average
-                     for orbit, summary in zip(orbits, summaries) for s in orbit.states}
+                     for orbit, summary in zip(orbits, summaries) for s in orbit}
 
     def mean_part(state):
         return mean_by_state[state]

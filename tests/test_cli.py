@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import homomesy
 from homomesy import cli
@@ -704,3 +706,50 @@ def test_a_reader_that_stops_early_gets_no_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err
     assert code == 4  # the listing was cut short, but the verdict still counts
     assert "expectation failed" in err
+
+
+# a small pool per flag: in-range and out-of-range sizes and guards, and
+# seeds, statistics and constants both well formed and malformed
+FUZZ_VALUES = {
+    "--a": ("-1", "0", "1", "2", "3", "4", "x"),
+    "--b": ("0", "1", "2", "3", "4", "2.5"),
+    "--n": ("-2", "0", "1", "3", "4"),
+    "--k": ("0", "1", "3", "4"),
+    "--guard": ("0", "1", "7", "200"),
+    "--expect-c": ("0", "3/2", "1/0", "1,2", "x", "0.5", ""),
+    "--seed": ("", "[]", "[[1,1]]", "[[1,2],[2,1]]", "[[9,9]]", "+-+-", "+++",
+               "2,3,1", "1,1", "5/3,2/3", "0,3", "1,0,1", "1,1;2,2", "x", "-1"),
+    "--stat": ("", "nope", "ideal-size", "weight:", "weight:1,3", "cells:",
+               "cells:1,1;2,2", "cells:3,1", "x:1"),
+    "--format": ("table", "json", "csv", "xml"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_graphs(tmp_path_factory):
+    """A good graph file, a missing one and a directory, as --graph values."""
+    root = tmp_path_factory.mktemp("graphs")
+    (root / "cycle4.graph").write_text(CYCLE4)
+    return tuple(str(root / name) for name in ("cycle4.graph", "missing.graph", ""))
+
+
+# 14 examples for each of the 11 systems, about 150 in all
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+@settings(max_examples=14, deadline=None)
+@given(data=st.data())
+def test_no_argv_escapes_as_a_traceback(fuzz_graphs, system, data):
+    pools = dict(FUZZ_VALUES, **{"--graph": fuzz_graphs})
+    argv = [data.draw(st.sampled_from(("check", "orbits", "subspace"))), system]
+    # the system's size flags, then up to 5 more, mostly ones it reads, so
+    # that most runs get past the flag checks
+    sizes = ["--" + flag.split()[0] for flag in SYSTEMS[system][0]]
+    common = ["--guard", "--expect-c", "--seed", "--stat", "--format"]
+    flag = st.one_of(*[st.sampled_from(common)] * 5, st.sampled_from(sorted(pools)))
+    for name in sizes + data.draw(st.lists(flag, max_size=5, unique=True)):
+        argv += [name, data.draw(st.sampled_from(pools[name]))]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv itself
+            code = ("argparse", exc.code)
+    assert code in (0, 2, 3, 4, ("argparse", 2)), argv

@@ -195,7 +195,7 @@ class TestRowmotionRoutes:
             poset = GridPoset(a, b)
             orbits = orbit_partition(lambda s: rowmotion_ideal(poset, s),
                                      poset.enumerate_order_ideals())
-            assert all((a + b) % o.period == 0 for o in orbits)
+            assert all((a + b) % len(o) == 0 for o in orbits)
 
 
 class TestPromotion:

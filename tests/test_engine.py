@@ -9,7 +9,6 @@ from hypothesis import example, given, strategies as st
 from homomesy import engine
 from homomesy.cli import SYSTEMS, build_bundle, build_parser
 from homomesy.engine import (
-    Orbit,
     Statistic,
     check_homomesy,
     homomesic_subspace,
@@ -186,14 +185,14 @@ class TestFormatRational:
 class TestIterateOrbit:
     def test_period_and_representative(self):
         orbit = iterate_orbit(rotate_mod(5), 3)
-        assert orbit.period == 5
-        assert orbit.representative == 0
+        assert len(orbit) == 5
+        assert orbit[0] == 0
         # consecutive states follow the map
-        assert orbit.states == (0, 1, 2, 3, 4)
+        assert orbit == (0, 1, 2, 3, 4)
 
     def test_fixed_point(self):
         orbit = iterate_orbit(lambda x: x, "only")
-        assert orbit.states == ("only",)
+        assert orbit == ("only",)
 
     def test_non_closing_map_raises_guard(self):
         with pytest.raises(GuardExceeded, match="did not close"):
@@ -209,12 +208,12 @@ class TestIterateOrbit:
 class TestOrbitPartition:
     def test_partition_covers_space(self):
         orbits = orbit_partition(swap_pairs, range(6))
-        assert [o.states for o in orbits] == [(0, 1), (2, 3), (4, 5)]
+        assert orbits == [(0, 1), (2, 3), (4, 5)]
 
     def test_sorted_by_representative(self):
         orbits = orbit_partition(rotate_mod(4), [3, 2, 1, 0])
         assert len(orbits) == 1
-        assert orbits[0].representative == 0
+        assert orbits[0][0] == 0
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -223,6 +222,15 @@ class TestOrbitPartition:
     def test_closure_violation_reported(self):
         with pytest.raises(ValueError, match="closure violation"):
             orbit_partition(rotate_mod(6), [0, 1, 2])
+
+    def test_closure_violation_names_the_first_outside_state_in_orbit_order(self):
+        # the walk from 2 meets 4 before 1, but the orbit starts at 0
+        with pytest.raises(ValueError, match="^closure violation: the map leaves "
+                                             "the state space at 1$"):
+            orbit_partition(rotate_mod(6), [2, 3, 5, 0])
+
+    def test_a_generator_is_read_once(self):
+        assert orbit_partition(swap_pairs, (x for x in range(6))) == [(0, 1), (2, 3), (4, 5)]
 
 
 class TestAverages:
@@ -235,7 +243,7 @@ class TestAverages:
         # traversing an orbit several times cannot move the mean
         orbit = iterate_orbit(rotate_mod(3), 0)
         stat = Statistic.scalar("sq", lambda x: x * x)
-        tripled = Orbit(orbit.states * 3)
+        tripled = orbit * 3
         assert orbit_average(stat, tripled) == orbit_average(stat, orbit)
 
     def test_vector_average(self):
@@ -380,11 +388,11 @@ class TestHomomesicSubspace:
 def reference_orbit_average(statistic, orbit):
     """The per-state Fraction accumulation that orbit_average replaced."""
     total = [Fraction(0)] * statistic.dimension
-    for state in orbit.states:
+    for state in orbit:
         value = statistic(state)
         for i in range(statistic.dimension):
             total[i] += value[i]
-    return tuple(t / orbit.period for t in total)
+    return tuple(t / len(orbit) for t in total)
 
 
 def reference_subspace(tau, space, statistic):
@@ -435,7 +443,7 @@ class TestExactSumsMatchTheFractionLoops:
             average = orbit_average(stat, orbit)
             assert average == reference_orbit_average(stat, orbit)
             assert all_fractions(average)
-            ref_mean.update(dict.fromkeys(orbit.states, average))
+            ref_mean.update(dict.fromkeys(orbit, average))
 
         report = check_homomesy(tau, space, stat)
         assert all_fractions(report.global_average)

@@ -43,6 +43,12 @@ def test_iter_bits():
     assert list(iter_bits(0b10110)) == [1, 2, 4]
 
 
+def test_iter_bits_refuses_a_negative_mask():
+    # a negative int has infinitely many set bits; next() keeps this finite
+    with pytest.raises(ValueError, match="^negative mask -1$"):
+        next(iter_bits(-1))
+
+
 class TestConstruction:
     def test_duplicate_elements_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -341,6 +347,15 @@ def test_a_mask_outside_the_poset_is_neither_ideal_nor_antichain(poset):
     for mask in (-1, 1 << 4, 1 << 5, 0b1 | 1 << 4):
         assert not is_ideal_mask(poset, mask)
         assert not poset.is_antichain_mask(mask)
+
+
+@pytest.mark.parametrize("poset", [GridPoset(2, 2), plain_poset(GridPoset(2, 2))],
+                         ids=["grid", "generic"])
+def test_members_refuses_a_mask_outside_the_poset(poset):
+    assert poset.members(poset.full_mask) == poset.elements
+    for mask in (-1, poset.full_mask + 1):
+        with pytest.raises(ValueError, match=rf"^mask {mask} is outside 0\.\.15$"):
+            poset.members(mask)
 
 
 class TestGridBuildsNoGenericTables:

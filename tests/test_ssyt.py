@@ -181,8 +181,8 @@ class TestPromotion:
     def test_reference_orbit_in_ceiling_5(self):
         start = T(5, (1, 1, 2), (2, 3, 4))
         orbit = iterate_orbit(ssyt_promotion, start)
-        assert orbit.period == 5
-        assert [t.rows for t in orbit.states] == [
+        assert len(orbit) == 5
+        assert [t.rows for t in orbit] == [
             ((1, 1, 2), (2, 3, 4)),
             ((1, 1, 3), (2, 5, 5)),
             ((1, 2, 4), (4, 5, 5)),
@@ -248,7 +248,7 @@ class TestCellStatistics:
 
     def test_promotion_orbit_sums(self):
         start = T(5, (1, 1, 2), (2, 3, 4))
-        states = iterate_orbit(ssyt_promotion, start).states
+        states = iterate_orbit(ssyt_promotion, start)
         pivot = states.index(start)
         orbit = states[pivot:] + states[:pivot]  # rotated back to start
 
