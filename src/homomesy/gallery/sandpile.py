@@ -4,12 +4,22 @@ Configurations are tuples of grain counts over the non-sink vertices, in
 the graph's vertex order. The one-step dynamic drops a grain on the source
 and stabilizes; its cycle states are the recurrent configurations, and the
 per-vertex firing count of that step is homomesic with constant vector
-f* solving L' f* = 1_source (L' the reduced Laplacian). `sandpile_tau` and
-the firing statistic validate a configuration once, then share one grain
-drop, whose `sandpile_stabilize` validates again; a grain count or an edge
-multiplicity that is not an int is refused, not truncated. The stable
-configurations are refused over the guard from the product of the
-out-degrees.
+f* solving L' f* = 1_source (L' the reduced Laplacian).
+
+On the recurrents the step is translation by [1_source] in the sandpile
+group Z^n / L'Z^n (Holroyd et al., "Chip-firing and rotor-routing on
+directed graphs", 2008), so `sandpile_recurrents` walks the group instead
+of stepping every stable configuration. A grain never leaves U, the
+non-sink vertices reachable from the source, so vertices outside U never
+change: the walk starts at the maximal stable configuration on U, steps
+each orbit with `sandpile_tau`, and from each orbit's first state adds one
+grain at each other vertex of U and stabilizes to reach the other orbits.
+The recurrents are that walk crossed with every stable assignment of the
+vertices outside U. Each step validates its configuration once in
+`sandpile_tau`, and once more inside `sandpile_stabilize`; the firing
+statistic likewise. A grain count or an edge multiplicity that is not an
+int is refused, not truncated. The guard still reads the number of stable
+configurations, the product of the out-degrees, before the walk starts.
 
 Graph text format (see SandpileGraph.from_text): one directed edge bundle
 per line as "v w count", plus the headers "sink t" and "source s", once
@@ -20,9 +30,12 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product as iter_product
+from operator import ge
 
 from ..engine import Statistic, rational_solve
 from ..guards import DEFAULT_ORBIT_GUARD, GuardExceeded, check_space_size, product_factors
+
+_INT = frozenset((int,))
 
 
 class SandpileGraph:
@@ -130,12 +143,14 @@ class SandpileGraph:
             raise ValueError(
                 f"configuration needs {len(self.nonsink)} entries, got {len(config)}"
             )
-        if not all(type(g) is int and g >= 0 for g in config):  # no float, no bool
-            raise ValueError("grain counts must be nonnegative")
+        # one pass over the types, then min: no float, no bool
+        if not (_INT.issuperset(map(type, config)) and min(config) >= 0):
+            bad = next(g for g in config if type(g) is not int or g < 0)
+            raise ValueError(f"grain counts must be nonnegative ints, not {bad!r}")
         return config
 
     def is_stable(self, config) -> bool:
-        return all(g < d for g, d in zip(self.validate_config(config), self._degree))
+        return not any(map(ge, self.validate_config(config), self._degree))
 
 
 def sandpile_stabilize(graph: SandpileGraph, config, guard: int | None = None):
@@ -187,36 +202,55 @@ def sandpile_tau(graph: SandpileGraph, config, guard: int | None = None):
     return _drop_grain(graph, config, guard)[0]
 
 
-def stable_configurations(graph: SandpileGraph, guard: int | None = None):
-    check_space_size("the graph", product_factors(graph._degree), "stable configurations", guard)
-    return list(iter_product(*map(range, graph._degree)))
-
-
 def sandpile_recurrents(graph: SandpileGraph, guard: int | None = None) -> dict:
     """Recurrent configurations: the cycle states of the one-step dynamic.
 
-    Peels states of in-degree zero from the functional graph of tau over
-    all stable configurations; whatever survives lies on a cycle. Returns
-    {recurrent: its tau image} in ascending order of the recurrents, so the
-    map that found them also serves as tau on them. guard caps both the
-    number of stable configurations and the firings of each step.
+    Walks the orbits of tau from the maximal stable configuration on U, the
+    non-sink vertices reachable from the source, jumping between orbits by
+    one grain at a vertex of U, then crosses the result with every stable
+    assignment of the vertices outside U. Returns {recurrent: its tau
+    image} in ascending order of the recurrents, so the map that found them
+    also serves as tau on them. guard caps both the number of stable
+    configurations and the firings of each step.
     """
-    states = stable_configurations(graph, guard)
-    successor = {s: sandpile_tau(graph, s, guard) for s in states}
-    indegree = {s: 0 for s in states}
-    for t in successor.values():
-        indegree[t] += 1
-    queue = deque(s for s in states if indegree[s] == 0)
-    removed = set()
-    while queue:
-        s = queue.popleft()
-        removed.add(s)
-        t = successor[s]
-        indegree[t] -= 1
-        if indegree[t] == 0:
-            queue.append(t)
-    # stable_configurations lists the states in ascending order
-    return {s: successor[s] for s in states if s not in removed}
+    degrees = graph._degree
+    check_space_size("the graph", product_factors(degrees), "stable configurations", guard)
+    source = graph._pos[graph.source]
+    inside, frontier = {source}, [source]
+    while frontier:  # grains flow along the firing recipes
+        for j, _ in graph._fire_gain[frontier.pop()]:
+            if j not in inside:
+                inside.add(j)
+                frontier.append(j)
+    jumps = sorted(inside - {source})
+    successor: dict = {}
+    pending = [tuple(d - 1 if i in inside else 0 for i, d in enumerate(degrees))]
+    while pending:
+        first = pending.pop()
+        if first in successor:
+            continue
+        state = first
+        while state not in successor:  # tau permutes the recurrents: back to first
+            image = sandpile_tau(graph, state, guard)
+            successor[state] = image
+            state = image
+        for i in jumps:
+            bumped = list(first)
+            bumped[i] += 1
+            jumped = sandpile_stabilize(graph, bumped, guard)[0]
+            if jumped not in successor:
+                pending.append(jumped)
+    outside = [i for i in range(len(degrees)) if i not in inside]
+    if outside:
+        crossed = {}
+        for fill in iter_product(*(range(degrees[i]) for i in outside)):
+            for state, image in successor.items():
+                state, image = list(state), list(image)
+                for i, g in zip(outside, fill):
+                    state[i] = image[i] = g
+                crossed[tuple(state)] = tuple(image)
+        successor = crossed
+    return dict(sorted(successor.items()))
 
 
 def firing_statistic(graph: SandpileGraph, guard: int | None = None) -> Statistic:

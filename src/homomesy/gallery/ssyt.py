@@ -8,9 +8,11 @@ entry between its neighbours in the rows above and below (Kirillov &
 Berenstein, St. Petersburg Math. J. 7, 1996). With the pinned order,
 promotion on an m x n rectangle has order dividing k, and for any cell set
 R that is invariant under 180-degree rotation of the rectangle the entry
-sum over R is |R|(k+1)/2-mesic. Each `SSYT` is checked once, when it is
-built: at enumeration, seed parsing, and once per promotion (not per
-involution); an entry that is not an int is refused, not truncated.
+sum over R is |R|(k+1)/2-mesic. Each `SSYT` is checked once, where it
+enters: at enumeration and seed parsing; an entry that is not an int is
+refused, not truncated. Promotion's image is not checked again, since each
+BK_i maps an SSYT to an SSYT (Bender & Knuth, J. Combin. Theory Ser. A 13,
+1972).
 `rect_tableaux` meets its guard from the hook-content count before it
 builds a tableau.
 """
@@ -92,7 +94,10 @@ def _bender_knuth_steps(tableau: SSYT, indices) -> SSYT:
                 m = max(start, hi[r + 1]) + min(end, above) - bisect_right(row, i, start, end)
                 row[start:end] = [i] * (m - start) + [i + 1] * (end - m)
             above = start
-    return SSYT(tableau.ceiling, grid)
+    image = object.__new__(SSYT)  # an SSYT already: no __post_init__
+    object.__setattr__(image, "ceiling", tableau.ceiling)
+    object.__setattr__(image, "rows", tuple(map(tuple, grid)))
+    return image
 
 
 def rect_tableaux(nrows: int, ncols: int, ceiling: int,

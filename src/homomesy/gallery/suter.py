@@ -17,19 +17,23 @@ The weight statistics read rows without a check.
 """
 from __future__ import annotations
 
+from operator import lt
+
 from ..engine import Statistic
 from ..guards import check_space_size, power_factors
 
 Partition = tuple
+_INT = frozenset((int,))
 
 
 def is_staircase_member(n: int, diagram) -> bool:
     diagram = tuple(diagram)
     if not diagram:
         return True
-    if not all(type(p) is int and p >= 1 for p in diagram):  # no float, bool or str
+    # one pass over the types (no float, bool or str), then C-level comparisons
+    if not _INT.issuperset(map(type, diagram)) or min(diagram) < 1:
         return False
-    if any(diagram[i] < diagram[i + 1] for i in range(len(diagram) - 1)):
+    if any(map(lt, diagram, diagram[1:])):
         return False
     return diagram[0] + len(diagram) <= n
 

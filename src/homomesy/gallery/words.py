@@ -1,6 +1,7 @@
 """Word systems: reversal on permutations, cyclic rotation on +/- words."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations, permutations
 
 from ..dynamics import MINUS, PLUS, cyclic_shift
@@ -24,12 +25,17 @@ def pm_words(a: int, b: int, guard: int | None = None) -> list[tuple[int, ...]]:
 
 
 def inversions(word) -> int:
-    """Pairs i < j with word[i] > word[j]. Works for +/- words and permutations."""
+    """Pairs i < j with word[i] > word[j]. Works for +/- words and permutations.
+
+    Right to left, each letter counts the strictly smaller letters after it
+    by bisection into those letters, kept sorted.
+    """
     count = 0
-    for i, x in enumerate(word):
-        for y in word[i + 1:]:
-            if x > y:
-                count += 1
+    after: list = []
+    for x in reversed(word):
+        k = bisect_left(after, x)
+        count += k
+        after.insert(k, x)
     return count
 
 

@@ -4,14 +4,20 @@ The package computes rowmotion and promotion on [a] x [b] with shift-and-mask
 kernels, and Bender-Knuth promotion as Gelfand-Tsetlin toggles. Striker &
 Williams ("Promotion and rowmotion", European J. Combin. 2012) prove these
 equal the products of toggles defined here, so these definitions live with
-the tests that compare the kernels against them, not in the package.
+the tests that compare the kernels against them, not in the package. The
+same holds for the sandpile recurrents, which the package finds by a walk
+in the sandpile group and which are defined here as the cycle states of the
+one-step dynamic on all stable configurations, and for the inversion count.
 """
-from itertools import accumulate
+from collections import deque
+from itertools import accumulate, product
 
 from homomesy.dynamics import MINUS, PLUS, format_pm_word, parse_pm_word, sign_word
 from homomesy.engine import Statistic, orbit_partition, summarize_orbits
-from homomesy.gallery.ssyt import _bender_knuth_steps
+from homomesy.gallery.sandpile import sandpile_tau
+from homomesy.gallery.ssyt import SSYT, _bender_knuth_steps
 from homomesy.gallery.suter import require_member
+from homomesy.guards import check_space_size, product_factors
 from homomesy.posets import FinitePoset, GridPoset
 
 
@@ -130,7 +136,46 @@ def bender_knuth(tableau, i: int):
     """The involution swapping the multiplicities of i and i+1."""
     if not 1 <= i <= tableau.ceiling - 1:
         raise ValueError(f"involution index {i} outside 1..{tableau.ceiling - 1}")
-    return _bender_knuth_steps(tableau, (i,))
+    image = _bender_knuth_steps(tableau, (i,))
+    return SSYT(image.ceiling, image.rows)  # the package trusts BK_i; check it here
+
+
+def stable_configurations(graph, guard=None):
+    """Every stable sandpile configuration, in ascending order, refused over
+    the guard from the product of the out-degrees."""
+    check_space_size("the graph", product_factors(graph._degree), "stable configurations", guard)
+    return list(product(*map(range, graph._degree)))
+
+
+def reference_sandpile_recurrents(graph, guard=None) -> dict:
+    """{recurrent: its tau image} in ascending order: steps every stable
+    configuration, then peels states of in-degree zero from the functional
+    graph of tau; whatever survives lies on a cycle."""
+    states = stable_configurations(graph, guard)
+    successor = {s: sandpile_tau(graph, s, guard) for s in states}
+    indegree = dict.fromkeys(states, 0)
+    for t in successor.values():
+        indegree[t] += 1
+    queue = deque(s for s in states if indegree[s] == 0)
+    removed = set()
+    while queue:
+        s = queue.popleft()
+        removed.add(s)
+        t = successor[s]
+        indegree[t] -= 1
+        if indegree[t] == 0:
+            queue.append(t)
+    return {s: successor[s] for s in states if s not in removed}
+
+
+def reference_inversions(word) -> int:
+    """Pairs i < j with word[i] > word[j], one pair at a time."""
+    count = 0
+    for i, x in enumerate(word):
+        for y in word[i + 1:]:
+            if x > y:
+                count += 1
+    return count
 
 
 def box_weights(n: int, diagram) -> list[int]:

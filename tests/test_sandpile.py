@@ -13,9 +13,9 @@ from homomesy.gallery.sandpile import (
     sandpile_recurrents,
     sandpile_stabilize,
     sandpile_tau,
-    stable_configurations,
 )
 from homomesy.guards import GuardExceeded
+from reference import reference_sandpile_recurrents, stable_configurations
 
 CYCLE4 = """
 # bidirected 4-cycle, vertices 1..4
@@ -42,6 +42,26 @@ PATH5 = """
 sink t
 source 1
 """
+
+
+# c has edges into a and to the sink but none into it: the source a never
+# reaches c, so c keeps whatever it holds
+UNREACHED = """
+a b 1
+a t 1
+b a 1
+b t 1
+c a 1
+c t 1
+sink t
+source a
+"""
+
+
+def complete_digraph(n):
+    """K_n with one edge each way between every two vertices, sink n - 1, source 0."""
+    return SandpileGraph([(str(v), str(w), 1) for v in range(n) for w in range(n) if v != w],
+                         str(n - 1), "0")
 
 
 @pytest.fixture
@@ -85,6 +105,57 @@ def reference_reduced_laplacian(graph):
     return [[out_degree[v] - graph.multiplicity.get((v, v), 0) if v == w
              else -graph.multiplicity.get((w, v), 0) for w in graph.nonsink]
             for v in graph.nonsink]
+
+
+def reached_from_source(graph):
+    """The non-sink vertices a path of non-sink vertices leads to from the
+    source, from the edge multiplicities."""
+    reached, frontier = {graph.source}, [graph.source]
+    while frontier:
+        v = frontier.pop()
+        for a, w in graph.multiplicity:
+            if a == v and w != graph.sink and w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    return reached
+
+
+def determinant(matrix):
+    """Exact determinant by Gaussian elimination over Fractions."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((r for r in range(k, len(rows)) if rows[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for r in range(k + 1, len(rows)):
+            factor = rows[r][k] / rows[k][k]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[k])]
+    return det
+
+
+def recurrent_count(graph):
+    """det L' on the vertices U the source reaches, times the out-degree of
+    every other non-sink vertex: the sandpile group's order on U, crossed
+    with the configurations that no grain from the source ever changes."""
+    inside = reached_from_source(graph)
+    index = [i for i, v in enumerate(graph.nonsink) if v in inside]
+    lap = reference_reduced_laplacian(graph)
+    count = determinant([[lap[i][j] for j in index] for i in index])
+    for v in graph.nonsink:
+        if v not in inside:
+            count *= graph.out_degree[v]
+    return count
+
+
+def assert_walk_matches_the_peel(graph):
+    recurrents = sandpile_recurrents(graph)
+    assert list(recurrents.items()) == list(reference_sandpile_recurrents(graph).items())
+    assert len(recurrents) == recurrent_count(graph)
 
 
 @st.composite
@@ -163,6 +234,14 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="nonnegative"):
             cycle4.validate_config(config)
 
+    @pytest.mark.parametrize("config, bad", [((1.5, 0, 1), "1.5"), ((True, 0, 1), "True"),
+                                             ((1, "2", 0), "'2'"), ((1, 0, -1), "-1")],
+                             ids=repr)
+    def test_a_refused_config_names_its_first_bad_grain_count(self, cycle4, config, bad):
+        with pytest.raises(ValueError) as refused:
+            cycle4.validate_config(config)
+        assert str(refused.value) == f"grain counts must be nonnegative ints, not {bad}"
+
     def test_a_valid_config_comes_back_as_a_tuple(self, cycle4):
         assert cycle4.validate_config([1, 0, 1]) == (1, 0, 1)
 
@@ -218,6 +297,35 @@ class TestRecurrents:
 
     def test_recurrents_of_the_4_cycle(self, cycle4):
         assert list(sandpile_recurrents(cycle4)) == [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+
+    @pytest.mark.parametrize("graph", [
+        complete_digraph(4), complete_digraph(5), SandpileGraph.from_text(CYCLE4),
+        SandpileGraph.from_text(PATH5), SandpileGraph.from_text(UNREACHED),
+    ], ids=["K4", "K5", "cycle4", "path5", "unreached"])
+    def test_the_walk_matches_the_peel(self, graph):
+        assert_walk_matches_the_peel(graph)
+
+    def test_an_unreached_vertex_keeps_every_stable_count(self):
+        graph = SandpileGraph.from_text(UNREACHED)
+        assert reached_from_source(graph) == {"a", "b"}
+        recurrents = sandpile_recurrents(graph)
+        # (a, b) in {(0, 1), (1, 0), (1, 1)}, each with c in {0, 1}
+        assert list(recurrents) == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1),
+                                    (1, 1, 0), (1, 1, 1)]
+        assert all(image[2] == state[2] for state, image in recurrents.items())
+
+    def test_the_walk_matches_the_peel_on_random_digraphs(self):
+        rng = random.Random(41)
+        unreached = 0
+        for _ in range(600):
+            graph = random_sink_connected_digraph(rng)
+            unreached += len(reached_from_source(graph)) < len(graph.nonsink)
+            assert_walk_matches_the_peel(graph)
+        assert unreached >= 200  # the source misses some vertex on many of them
+
+    @given(sink_connected_multigraphs())
+    def test_the_walk_matches_the_peel_on_multigraphs(self, drawn):
+        assert_walk_matches_the_peel(SandpileGraph(*drawn))
 
     def test_tau_requires_stability(self, cycle4):
         with pytest.raises(ValueError, match="stable"):

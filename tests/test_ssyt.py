@@ -312,7 +312,7 @@ class TestPromotionAgainstCheckedSteps:
                 assert image == expected
                 assert SSYT(image.ceiling, image.rows) == image
 
-    def test_check_builds_two_tableaux_per_state(self, monkeypatch, capsys):
+    def test_check_builds_one_tableau_per_state(self, monkeypatch, capsys):
         from homomesy.cli import main
 
         calls = []
@@ -326,5 +326,5 @@ class TestPromotionAgainstCheckedSteps:
         assert main(["check", "ssyt", "--a", "2", "--b", "3", "--k", "4"]) == 0
         assert "homomesic: yes" in capsys.readouterr().out
         monkeypatch.undo()
-        # one check at enumeration, one for each promotion image
-        assert len(calls) == 2 * len(rect_tableaux(2, 3, 4))
+        # one check at enumeration; promotion builds its image unchecked
+        assert len(calls) == len(rect_tableaux(2, 3, 4))

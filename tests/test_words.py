@@ -1,4 +1,5 @@
 """Rotation and reversal systems on words."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from homomesy.gallery.words import (
     reversal_inversions_system,
 )
 from homomesy.guards import GuardExceeded
+from reference import reference_inversions
 
 
 def test_pm_words_enumeration():
@@ -42,6 +44,15 @@ def test_inversions_small_cases():
     assert inversions((1, 2, 3)) == 0
     assert inversions((3, 2, 1)) == 3
     assert inversions((2, 3, 1)) == 2
+
+
+def test_inversions_match_the_pair_count():
+    for n in range(8):
+        for perm in itertools.permutations(range(1, n + 1)):
+            assert inversions(perm) == reference_inversions(perm)
+    for n in range(13):
+        for word in itertools.product((PLUS, MINUS), repeat=n):
+            assert inversions(word) == reference_inversions(word)
 
 
 @given(st.lists(st.sampled_from([PLUS, MINUS]), max_size=12).map(tuple))
