@@ -13,7 +13,6 @@ from .guards import DEFAULT_ENUMERATION_GUARD, DEFAULT_ORBIT_GUARD, GuardExceede
 from .posets import FinitePoset, GridPoset
 from .dynamics import (
     antichain_from_st_word,
-    cyclic_shift,
     ideal_from_sign_word,
     promotion_antichain,
     promotion_ideal,
@@ -50,7 +49,6 @@ __all__ = [
     "Statistic",
     "antichain_from_st_word",
     "check_homomesy",
-    "cyclic_shift",
     "homomesic_subspace",
     "in_reduced_span",
     "ideal_from_sign_word",

@@ -40,7 +40,7 @@ from itertools import chain
 from typing import Callable, Optional
 
 from .dynamics import (format_pm_word, parse_pm_word, promotion_antichain, promotion_ideal,
-                       require_pm_word, rowmotion_antichain, rowmotion_ideal)
+                       rowmotion_antichain, rowmotion_ideal)
 from .engine import (Statistic, check_homomesy, homomesic_subspace, in_reduced_span,
                      iterate_orbit, summarize_orbits)
 from .gallery.lyness import LynessState, abs_h, lyness_cycle, lyness_orbit_product
@@ -158,15 +158,19 @@ def _parse_cell_pairs(text: str):
 
 def _word_bundle(args, system: Callable) -> Bundle:
     space, tau, stat = system(args.a, args.b, args.guard)
+
+    def show(word: int) -> str:
+        return format_pm_word(word, args.a + args.b)
+
     return Bundle(
         map_name="leftward rotation",
         space_doc={"kind": "pm-words", "minus": args.a, "plus": args.b},
         space=space,
         tau=tau,
         stats={stat.name: lambda: stat},
-        to_json=format_pm_word,
-        to_text=format_pm_word,
-        parse_seed=lambda text: require_pm_word(parse_pm_word(text), args.a, args.b),
+        to_json=show,
+        to_text=show,
+        parse_seed=lambda text: parse_pm_word(text, args.a, args.b),
     )
 
 

@@ -11,21 +11,21 @@ returns one. Conventions fixed here once and used everywhere:
 * promotion is the product of the file toggles left to right (file 1-a
   through file b-1), bottom to top inside each file; it is computed as the
   rotation of the sign word that product equals,
+* a word of a -1s and b +1s is the int below 2^(a+b) that stores it: its
+  first letter is the top bit, and a +1 is a 1 bit,
 * the sign word of an ideal reads the height function's increments left to
-  right, so promotion acts as a leftward cyclic shift and rowmotion as
+  right, so promotion is gallery.words.left_shift of it and rowmotion is
   block/gap reversal: split the word on its blocks (-1, +1), reverse each
   gap between them, and join with (+1, -1),
 * the Stanley-Thomas word of an antichain carries rowmotion to a rightward
-  cyclic shift; it reads the rows and columns the antichain's mask meets.
+  rotation; it reads the rows and columns the antichain's mask meets.
 
 The toggle products, the height function and block/gap reversal are the
 references the tests hold these maps to; they live in tests/reference.py.
 """
 from __future__ import annotations
 
-from .posets import FinitePoset, GridPoset
-
-PLUS, MINUS = 1, -1
+from .posets import FinitePoset, GridPoset, iter_bits
 
 
 # -- rowmotion ---------------------------------------------------------------
@@ -66,99 +66,74 @@ def promotion_antichain(poset: GridPoset, antichain: int) -> int:
 
 # -- sign words ----------------------------------------------------------------
 
-def sign_word(poset: GridPoset, ideal: int) -> tuple[int, ...]:
-    """Increments of the height function: a+b letters from {+1, -1}.
+def sign_word(poset: GridPoset, ideal: int) -> int:
+    """Increments of the height function: a+b letters, a of them -1.
 
-    This is the partition's boundary, read from its row lengths in O(a+b)
-    steps: top row (row a) first, +1 along a row, -1 down a row, and the
-    +1s past the longest row last. ideal_from_sign_word reads it back.
+    This is the partition's boundary: top row (row a) first, +1 along a
+    row, -1 down a row, and the +1s past the longest row last. The -1 that
+    closes mask row k (bottom row 0) of length L comes after L letters +1
+    and the a-1-k letters -1 of the rows above it, so it is bit b+k-L.
     """
     b, row = poset.b, (1 << poset.b) - 1
-    word, previous = [], 0
-    for k in reversed(range(poset.a)):
-        length = (ideal >> k * b & row).bit_count()
-        word += [PLUS] * (length - previous)
-        word.append(MINUS)
-        previous = length
-    word += [PLUS] * (b - previous)
-    return tuple(word)
+    minuses = sum(1 << b + k - (ideal >> k * b & row).bit_count() for k in range(poset.a))
+    return (1 << poset.a + b) - 1 ^ minuses
 
 
-def ideal_from_sign_word(poset: GridPoset, word) -> int:
-    """Inverse of sign_word; validates the letter multiset. Top row first,
-    each -1 closes a row as long as the +1s seen so far."""
-    mask = length = 0
-    for letter in require_pm_word(word, poset.a, poset.b):
-        if letter == PLUS:
-            length += 1
-        else:
-            mask = mask << poset.b | (1 << length) - 1
-    return mask
-
-
-def require_pm_word(word, minuses: int, pluses: int) -> tuple[int, ...]:
-    """The word as a tuple, once it is checked to hold minuses letters -1
-    and pluses letters +1 and nothing else."""
-    word = tuple(word)
-    if any(c not in (PLUS, MINUS) for c in word):
-        raise ValueError("word letters must be +1 or -1")
-    if len(word) != minuses + pluses or word.count(MINUS) != minuses:
-        raise ValueError(
-            f"word must have {minuses} minus letters and {pluses} plus letters"
-        )
-    return word
+def ideal_from_sign_word(poset: GridPoset, word: int) -> int:
+    """Inverse of sign_word; validates the letter counts. The k-th zero bit
+    from the bottom, at bit p, closes row k at length b+k-p."""
+    a, b = poset.a, poset.b
+    if word >> a + b or word.bit_count() != b:
+        raise ValueError(f"word must have {a} minus letters and {b} plus letters")
+    zeros = (1 << a + b) - 1 ^ word
+    return sum((1 << b + k - p) - 1 << k * b for k, p in enumerate(iter_bits(zeros)))
 
 
 # -- Stanley-Thomas words ------------------------------------------------------
 
-def stanley_thomas_word(poset: GridPoset, antichain: int) -> tuple[int, ...]:
-    """Word of length a+b: position k <= a is +1 when the antichain meets
-    positive fiber k (row k of the mask); position a+l is +1 when it misses
+def stanley_thomas_word(poset: GridPoset, antichain: int) -> int:
+    """Word of length a+b: letter k <= a is +1 when the antichain meets
+    positive fiber k (row k of the mask); letter a+l is +1 when it misses
     negative fiber l (column l)."""
-    b, row = poset.b, (1 << poset.b) - 1
-    head = [PLUS if antichain >> k * b & row else MINUS for k in range(poset.a)]
-    tail = [MINUS if antichain & poset.col1 << l else PLUS for l in range(b)]
-    return tuple(head + tail)
+    b, row, word = poset.b, (1 << poset.b) - 1, 0
+    for k in range(poset.a):
+        word = word << 1 | (antichain >> k * b & row != 0)
+    for l in range(b):
+        word = word << 1 | (antichain & poset.col1 << l == 0)
+    return word
 
 
-def antichain_from_st_word(poset: GridPoset, word) -> int:
-    """Inverse of stanley_thomas_word; validates the letter multiset."""
-    word = require_pm_word(word, poset.a, poset.b)
-    rows = [k for k in range(poset.a) if word[k] == PLUS]
-    cols = [l for l in range(poset.b) if word[poset.a + l] == MINUS]
+def antichain_from_st_word(poset: GridPoset, word: int) -> int:
+    """Inverse of stanley_thomas_word; validates the letter counts."""
+    a, b = poset.a, poset.b
+    if word >> a + b or word.bit_count() != b:
+        raise ValueError(f"word must have {a} minus letters and {b} plus letters")
+    rows = [k for k in range(a) if word >> a + b - 1 - k & 1]
+    cols = [l for l in range(b) if not word >> b - 1 - l & 1]
     # ascending rows pair with descending columns; (k+1, l+1) is bit k*b + l
-    return sum(1 << k * poset.b + l for k, l in zip(rows, reversed(cols)))
+    return sum(1 << k * b + l for k, l in zip(rows, reversed(cols)))
 
 
-# -- word utilities -----------------------------------------------------------
+# -- word text -----------------------------------------------------------------
 
-def cyclic_shift(word, direction: str) -> tuple:
-    """Rotate a word one place left or right."""
-    word = tuple(word)
-    if not word:
-        raise ValueError("cannot shift an empty word")
-    if direction == "left":
-        return word[1:] + word[:1]
-    if direction == "right":
-        return word[-1:] + word[:-1]
-    raise ValueError(f"direction must be 'left' or 'right', not {direction!r}")
+_PM_LETTERS = str.maketrans("01", "-+")
 
 
-def format_pm_word(word) -> str:
-    return "".join("+" if c == PLUS else "-" for c in word)
+def format_pm_word(word: int, n: int) -> str:
+    """The n letters of a word as '+' and '-', the top bit first."""
+    return format(word, f"0{n}b").translate(_PM_LETTERS)
 
 
-def parse_pm_word(text: str) -> tuple[int, ...]:
-    """Parse a +/- word; accepts '+', '-', the Unicode minus, and 0/1 digits
-    (0 meaning -1)."""
-    out = []
+def parse_pm_word(text: str, minuses: int, pluses: int) -> int:
+    """Parse a +/- word into its int, once it is checked to hold minuses
+    letters -1 and pluses letters +1. Accepts '+', '-', the Unicode minus,
+    and 0/1 digits (0 meaning -1); whitespace is skipped."""
+    word = length = 0
     for ch in text.strip():
-        if ch in "+1":
-            out.append(PLUS)
-        elif ch in "-0−":
-            out.append(MINUS)
-        elif ch.isspace():
-            continue
-        else:
+        if ch in "+1-0−":
+            word, length = word << 1 | (ch in "+1"), length + 1
+        elif not ch.isspace():
             raise ValueError(f"unexpected letter {ch!r} in word {text!r}")
-    return tuple(out)
+    if length != minuses + pluses or word.bit_count() != pluses:
+        raise ValueError(f"word must have {minuses} minus letters and {pluses} plus letters")
+    return word

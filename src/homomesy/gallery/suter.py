@@ -11,9 +11,10 @@ pads with 1s to exactly n - 1 - lambda_1 parts and has order n. The box in
 row r, column c (1-indexed) carries weight n - r - c + 1; the total weight
 is (n^3 - n)/12-mesic, and for i + j = n the sum of the weight-i diagonal
 plus the weight-j diagonal is ij-mesic (for i = j that diagonal counts
-twice). Membership in Y_n is checked at enumeration, seed parsing and once
-per `suter_rho` step; a part that is not an int is refused, not truncated.
-The weight statistics read rows without a check.
+twice). `staircase_diagrams` builds members by construction and checks only
+their count; membership in Y_n is checked by `require_member` at seed
+parsing and once per `suter_rho` step, and a part that is not an int is
+refused, not truncated. The weight statistics read rows without a check.
 """
 from __future__ import annotations
 

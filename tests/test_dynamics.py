@@ -3,24 +3,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 from homomesy.dynamics import (
-    MINUS,
-    PLUS,
     antichain_from_st_word,
-    cyclic_shift,
     format_pm_word,
     ideal_from_sign_word,
     parse_pm_word,
     promotion_antichain,
     promotion_ideal,
-    require_pm_word,
     rowmotion_antichain,
     rowmotion_ideal,
     sign_word,
     stanley_thomas_word,
 )
+from homomesy.gallery.words import left_shift
 from homomesy.posets import FinitePoset, GridPoset
+import reference
 from reference import (
+    MINUS,
+    PLUS,
+    bit_code,
     block_gap_reversal,
+    cyclic_shift,
     grid_covers,
     height_function,
     ideal_of,
@@ -342,51 +344,57 @@ class TestHeightFunction:
 class TestSignWords:
     def test_empty_and_full(self):
         poset = GridPoset(3, 2)
-        assert sign_word(poset, 0) == (MINUS,) * 3 + (PLUS,) * 2
-        assert sign_word(poset, poset.full_mask) == (PLUS,) * 2 + (MINUS,) * 3
+        assert sign_word(poset, 0) == 0b00011
+        assert sign_word(poset, poset.full_mask) == 0b11000
 
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 2), (3, 2), (2, 4), (3, 3)])
     def test_round_trip(self, a, b):
         poset = GridPoset(a, b)
         for ideal in poset.enumerate_order_ideals():
             word = sign_word(poset, ideal)
-            assert word.count(MINUS) == a and word.count(PLUS) == b
+            assert word < 1 << a + b and word.bit_count() == b
             assert ideal_from_sign_word(poset, word) == ideal
 
     def test_bad_words_rejected(self):
         poset = GridPoset(2, 2)
+        with pytest.raises(ValueError, match="word must have 2 minus letters and 2 plus"):
+            ideal_from_sign_word(poset, 0b1110)
         with pytest.raises(ValueError, match="must have"):
-            ideal_from_sign_word(poset, (PLUS, PLUS, PLUS, MINUS))
+            ideal_from_sign_word(poset, 0b10)
         with pytest.raises(ValueError, match="must have"):
-            ideal_from_sign_word(poset, (PLUS, MINUS))
-        with pytest.raises(ValueError, match="letters"):
-            ideal_from_sign_word(poset, (2, 0, 1, 1))
+            ideal_from_sign_word(poset, 0b110011)  # two +1s, but six letters
+        with pytest.raises(ValueError, match="must have"):
+            ideal_from_sign_word(poset, -0b11)
 
-    def test_the_word_check_returns_the_word_as_a_tuple(self):
-        assert require_pm_word(iter([MINUS, PLUS, PLUS]), 1, 2) == (MINUS, PLUS, PLUS)
-        with pytest.raises(ValueError, match="word must have 1 minus letters and 2 plus"):
-            require_pm_word([MINUS, MINUS, PLUS], 1, 2)
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_the_int_codec_matches_the_tuple_words(self, a):
+        for b in range(1, 7):
+            poset = GridPoset(a, b)
+            for ideal in poset.enumerate_order_ideals():
+                word = sign_word(poset, ideal)
+                assert word == bit_code(reference.sign_word(poset, ideal))
+                assert ideal_from_sign_word(poset, word) == ideal
 
     @pytest.mark.parametrize("a,b", [(2, 2), (3, 2), (3, 3), (2, 4)])
     def test_promotion_is_the_left_shift(self, a, b):
         poset = GridPoset(a, b)
         for ideal in poset.enumerate_order_ideals():
             assert sign_word(poset, promotion_ideal(poset, ideal)) == \
-                cyclic_shift(sign_word(poset, ideal), "left")
+                left_shift(sign_word(poset, ideal), a + b)
 
     @pytest.mark.parametrize("a,b", [(2, 2), (3, 2), (3, 3), (2, 4)])
     def test_rowmotion_is_the_block_gap_reversal(self, a, b):
         poset = GridPoset(a, b)
         for ideal in poset.enumerate_order_ideals():
-            assert sign_word(poset, rowmotion_ideal(poset, ideal)) == \
-                block_gap_reversal(sign_word(poset, ideal))
+            image = reference.sign_word(poset, rowmotion_ideal(poset, ideal))
+            assert image == block_gap_reversal(reference.sign_word(poset, ideal))
 
     def test_promotion_orbit_of_the_empty_ideal(self):
         poset = GridPoset(3, 2)
         words = []
         ideal = 0
         for _ in range(5):
-            words.append(format_pm_word(sign_word(poset, ideal)))
+            words.append(format_pm_word(sign_word(poset, ideal), 5))
             ideal = promotion_ideal(poset, ideal)
         assert ideal == 0
         assert words == ["---++", "--++-", "-++--", "++---", "+---+"]
@@ -394,15 +402,16 @@ class TestSignWords:
 
 class TestBlockGapReversal:
     def test_worked_example(self):
-        word = parse_pm_word("-++---++")
-        assert format_pm_word(block_gap_reversal(word)) == "+---++-+"
+        word = reference.parse_pm_word("-++---++")
+        assert reference.format_pm_word(block_gap_reversal(word)) == "+---++-+"
 
     def test_letters_validated(self):
         with pytest.raises(ValueError):
             block_gap_reversal((PLUS, 0))
 
     def test_pure_runs_reverse_as_one_gap(self):
-        assert block_gap_reversal(parse_pm_word("++---")) == parse_pm_word("---++")
+        assert block_gap_reversal(reference.parse_pm_word("++---")) == \
+            reference.parse_pm_word("---++")
         assert block_gap_reversal(()) == ()
 
     @given(pm_word_strategy)
@@ -443,27 +452,36 @@ class TestStanleyThomas:
         for b in range(1, 7):
             poset = GridPoset(a, b)
             for chain in poset.enumerate_antichains():
-                word = stanley_thomas_word(poset, chain)
-                assert word == reference_stanley_thomas_word(poset, chain)
-                assert antichain_from_st_word(poset, word) == \
+                word = reference_stanley_thomas_word(poset, chain)
+                assert reference.stanley_thomas_word(poset, chain) == word
+                assert stanley_thomas_word(poset, chain) == bit_code(word)
+                assert antichain_from_st_word(poset, bit_code(word)) == \
                     reference_antichain_from_st_word(poset, word) == chain
 
     def test_worked_example_on_7_by_5(self):
         poset = GridPoset(7, 5)
         chain = poset.antichain([(1, 5), (5, 3), (6, 2)])
         word = stanley_thomas_word(poset, chain)
-        assert format_pm_word(word) == "+---++-+--+-"
+        assert format_pm_word(word, 12) == "+---++-+--+-"
         image = rowmotion_antichain(poset, chain)
         assert set(poset.members(image)) == {(2, 4), (6, 3), (7, 1)}
-        assert format_pm_word(stanley_thomas_word(poset, image)) == "-+---++-+--+"
-        assert stanley_thomas_word(poset, image) == cyclic_shift(word, "right")
+        assert format_pm_word(stanley_thomas_word(poset, image), 12) == "-+---++-+--+"
+        assert left_shift(stanley_thomas_word(poset, image), 12) == word
 
     @pytest.mark.parametrize("a,b", [(2, 2), (3, 2), (3, 3), (2, 4)])
     def test_rowmotion_is_the_right_shift(self, a, b):
+        # a left rotation of the image's word gives back the antichain's
         poset = GridPoset(a, b)
         for chain in poset.enumerate_antichains():
-            assert stanley_thomas_word(poset, rowmotion_antichain(poset, chain)) == \
-                cyclic_shift(stanley_thomas_word(poset, chain), "right")
+            assert left_shift(stanley_thomas_word(poset, rowmotion_antichain(poset, chain)),
+                              a + b) == stanley_thomas_word(poset, chain)
+
+    def test_bad_words_rejected(self):
+        poset = GridPoset(2, 3)
+        with pytest.raises(ValueError, match="word must have 2 minus letters and 3 plus"):
+            antichain_from_st_word(poset, 0b11110)
+        with pytest.raises(ValueError, match="must have"):
+            antichain_from_st_word(poset, 0b1100111)
 
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 2), (3, 2), (2, 4)])
     def test_round_trip(self, a, b):
@@ -480,7 +498,7 @@ class TestStanleyThomas:
 
 
 class TestWordUtilities:
-    def test_cyclic_shift(self):
+    def test_cyclic_shift(self):  # the tuple rotation of tests/reference.py
         assert cyclic_shift((1, 2, 3), "left") == (2, 3, 1)
         assert cyclic_shift((1, 2, 3), "right") == (3, 1, 2)
         with pytest.raises(ValueError):
@@ -489,15 +507,23 @@ class TestWordUtilities:
             cyclic_shift((1,), "up")
 
     def test_format_parse_round_trip(self):
-        word = (PLUS, MINUS, MINUS, PLUS)
-        assert parse_pm_word(format_pm_word(word)) == word
+        word = 0b1001
+        assert format_pm_word(word, 4) == "+--+"
+        assert parse_pm_word(format_pm_word(word, 4), 2, 2) == word
 
     def test_parse_accepts_digits_and_unicode_minus(self):
-        assert parse_pm_word("10") == (PLUS, MINUS)
-        assert parse_pm_word("+−") == (PLUS, MINUS)
-        assert parse_pm_word(" + - ") == (PLUS, MINUS)
+        assert parse_pm_word("10", 1, 1) == 0b10
+        assert parse_pm_word("+−", 1, 1) == 0b10
+        assert parse_pm_word(" + - ", 1, 1) == 0b10
         with pytest.raises(ValueError, match="unexpected"):
-            parse_pm_word("+x")
+            parse_pm_word("+x", 1, 1)
+
+    def test_parse_checks_the_letter_counts(self):
+        assert parse_pm_word("-++", 1, 2) == 0b011
+        with pytest.raises(ValueError, match="word must have 1 minus letters and 2 plus"):
+            parse_pm_word("--+", 1, 2)
+        with pytest.raises(ValueError, match="word must have 1 minus letters and 2 plus"):
+            parse_pm_word("0-++", 1, 2)  # a leading 0 is a -1 letter, not padding
 
     def test_rowmotion_orbit_words_on_4_by_2(self):
         poset = GridPoset(4, 2)
@@ -505,7 +531,7 @@ class TestWordUtilities:
         ideal = seed
         words = []
         for _ in range(6):
-            words.append(format_pm_word(sign_word(poset, ideal)))
+            words.append(format_pm_word(sign_word(poset, ideal), 6))
             ideal = rowmotion_ideal(poset, ideal)
         assert ideal == seed
         assert words == ["--+--+", "-+--+-", "+--+--", "-++---", "+----+", "---++-"]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from homomesy.dynamics import MINUS, PLUS
+from homomesy.dynamics import format_pm_word, parse_pm_word
 from homomesy.engine import check_homomesy, orbit_partition
 from homomesy.gallery.words import (
     ballot_indicator,
@@ -20,20 +20,21 @@ from homomesy.gallery.words import (
     reversal_inversions_system,
 )
 from homomesy.guards import GuardExceeded
-from reference import reference_inversions
+import reference
+from reference import MINUS, PLUS, bit_code, reference_inversions
 
 
 def test_pm_words_enumeration():
     words = pm_words(2, 2)
+    assert words == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
     assert len(words) == math.comb(4, 2)
-    assert len(set(words)) == len(words)
     for word in words:
-        assert word.count(MINUS) == 2 and word.count(PLUS) == 2
+        assert word < 1 << 4 and word.bit_count() == 2
 
 
 def test_pm_words_degenerate_counts():
-    assert pm_words(0, 3) == [(PLUS, PLUS, PLUS)]
-    assert pm_words(2, 0) == [(MINUS, MINUS)]
+    assert pm_words(0, 3) == [0b111]
+    assert pm_words(2, 0) == [0]
     with pytest.raises(ValueError):
         pm_words(0, 0)
     with pytest.raises(GuardExceeded):
@@ -57,19 +58,40 @@ def test_inversions_match_the_pair_count():
 
 @given(st.lists(st.sampled_from([PLUS, MINUS]), max_size=12).map(tuple))
 def test_pm_inversions_matches_generic_count(word):
-    assert pm_inversions(word) == inversions(word)
+    assert pm_inversions(bit_code(word)) == inversions(word)
 
 
 def test_ballot_indicator_definition():
-    assert ballot_indicator((PLUS, PLUS, MINUS)) == 1
-    assert ballot_indicator((PLUS, MINUS, PLUS)) == 0  # prefix sum touches zero
-    assert ballot_indicator((MINUS, PLUS, PLUS)) == 0  # first prefix dips
-    assert ballot_indicator((PLUS, MINUS)) == 0
-    assert ballot_indicator(()) == 1
+    assert ballot_indicator(0b110, 3) == 1
+    assert ballot_indicator(0b101, 3) == 0  # prefix sum touches zero
+    assert ballot_indicator(0b011, 3) == 0  # first prefix dips
+    assert ballot_indicator(0b10, 2) == 0
+    assert ballot_indicator(0, 0) == 1
 
 
 def test_left_shift():
-    assert left_shift((1, 2, 3)) == (2, 3, 1)
+    assert left_shift(0b1011, 4) == 0b0111
+    assert left_shift(0b0110, 4) == 0b1100
+    assert left_shift(1, 1) == 1
+
+
+def test_the_int_words_match_the_tuple_words():
+    """Under the bit code, every word with a + b <= 14 is listed in the same
+    order, and rotates, counts and prints as the tuple word does."""
+    for n in range(1, 15):
+        for a in range(n + 1):
+            b = n - a
+            words = reference.pm_words(a, b)
+            assert pm_words(a, b) == list(map(bit_code, words))
+            for word in words:
+                w = bit_code(word)
+                assert left_shift(w, n) == bit_code(reference.left_shift(word))
+                assert pm_inversions(w) == reference.pm_inversions(word)
+                assert ballot_indicator(w, n) == reference.ballot_indicator(word)
+                text = reference.format_pm_word(word)
+                assert format_pm_word(w, n) == text
+                assert parse_pm_word(text, a, b) == w
+                assert reference.parse_pm_word(text) == word
 
 
 @pytest.mark.parametrize("a,b", [(0, 1), (1, 2), (2, 3), (1, 4)])
