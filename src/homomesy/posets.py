@@ -12,6 +12,7 @@ here is pure.
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate
 
 from .guards import DEFAULT_ENUMERATION_GUARD, GuardExceeded, binomial_factors, check_space_size
 
@@ -220,6 +221,11 @@ class GridPoset(FinitePoset):
         self._row_lanes = tuple(
             (s, self.element_mask((k, l) for k in range(1, a + 1) for l in range(1, b - s + 1)))
             for s in (1 << j for j in range(b.bit_length())) if s < b)
+        # state_text's fragments: every element as "[k,l]", comma-joined in
+        # bit order, so a run of consecutive bits is one slice of _text
+        cells = [f"[{k},{l}]" for k, l in self.elements]
+        self._text = ",".join(cells)
+        self._text_starts = list(accumulate((len(c) + 1 for c in cells), initial=0))
 
     @property
     def files(self) -> range:
@@ -295,3 +301,18 @@ class GridPoset(FinitePoset):
     def state_pairs(self, state) -> list[list[int]]:
         """A mask as a sorted list of [k, l] pairs (JSON shape)."""
         return [[k, l] for (k, l) in self.members(state)]
+
+    def state_text(self, state) -> str:
+        """state_pairs as compact JSON text, "[[1,1],[1,2]]": one slice of
+        the cached element text per run of consecutive bits, and an ideal or
+        an antichain has at most one run per row."""
+        if not 0 <= state <= self.full_mask:
+            raise ValueError(f"mask {state} is outside 0..{self.full_mask}")
+        text, starts, runs = self._text, self._text_starts, []
+        while state:
+            low = state & -state
+            above = state + low  # the run carried into the bit past its top
+            runs.append(text[starts[low.bit_length() - 1]:
+                             starts[(above & -above).bit_length() - 1] - 1])
+            state &= above
+        return "[" + ",".join(runs) + "]"

@@ -172,6 +172,16 @@ class TestCheck:
             assert err == ("guard exceeded: [40]x[40] has 107507208733336176461620 ideals, "
                            "over the guard of 10000000\n")
 
+    @pytest.mark.parametrize("command", ["check", "orbits"])
+    def test_a_map_that_leaves_its_space_exits_5(self, capsys, monkeypatch, command):
+        # toggling (1, 2) sends the empty ideal to {(1, 2)}, mask 2, which is
+        # not an ideal: a fault in the program, not in its input
+        monkeypatch.setattr(cli, "rowmotion_ideal", lambda poset, s: s ^ 0b10)
+        code, out, err = run(capsys, command, "grid-rowmotion-ideals", "--a", "2", "--b", "2")
+        assert (code, out) == (5, "")
+        assert err == ("internal error: closure violation: the map leaves the state "
+                       "space at 2\n")
+
     def test_missing_flags_exit_2(self, capsys):
         code, out, err = run(capsys, "check", "grid-rowmotion-ideals", "--a", "3")
         assert code == 2
@@ -469,6 +479,71 @@ def test_no_table_line_ends_in_a_space(capsys, graph_file, system):
         assert lines and all(line == line.rstrip() for line in lines), command
 
 
+# a parameter for each statistic prefix of the SAMPLE_SYSTEMS tables
+PREFIX_PARAMS = {"weight:": "2,3", "cells:": "1,1;2,2"}
+
+
+def sample_statistics(graph_file):
+    """(argv, bundle) for every statistic of every SAMPLE_SYSTEMS table, a
+    prefix with its PREFIX_PARAMS parameter."""
+    for system in SAMPLE_SYSTEMS:
+        argv = ("check",) + system + (("--graph", graph_file) if system[0] == "sandpile" else ())
+        for key in build_bundle(build_parser().parse_args(argv)).stats:
+            stat_argv = argv + ("--stat", key + PREFIX_PARAMS.get(key, ""))
+            yield stat_argv, build_bundle(build_parser().parse_args(stat_argv))
+
+
+def test_every_scalar_statistic_returns_bare_ints(graph_file):
+    # so orbit_average's one pass over the value types accepts them at once
+    scalar = 0
+    for argv, bundle in sample_statistics(graph_file):
+        if bundle.statistic.dimension == 1:
+            scalar += 1
+            assert {type(bundle.statistic.fn(s)) for s in bundle.space} == {int}, argv
+    assert scalar == 11  # every statistic of the table but the sandpile firing vector
+
+
+@pytest.fixture
+def statistic_calls(monkeypatch):
+    calls = []
+    original = Statistic.__call__
+
+    def counted(stat, state):
+        calls.append(state)
+        return original(stat, state)
+
+    monkeypatch.setattr(Statistic, "__call__", counted)
+    return calls
+
+
+def test_a_scalar_run_makes_one_checked_statistic_call(capsys, graph_file, statistic_calls):
+    for argv, bundle in sample_statistics(graph_file):
+        if bundle.statistic.dimension != 1:
+            continue
+        for command in ("check", "orbits"):
+            statistic_calls.clear()
+            code, out, err = run(capsys, command, *argv[1:])
+            assert (code, len(statistic_calls)) == (0, 1), argv
+    statistic_calls.clear()
+    code, out, err = run(capsys, "orbits", "ballot", "--a", "2", "--b", "2", "--seed=-+-+")
+    assert (code, len(statistic_calls)) == (0, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "sandpile", "--graph", "GRAPH"),
+    ("subspace", "grid-rowmotion-ideals", "--a", "3", "--b", "3"),
+    ("subspace", "grid-promotion-antichains", "--a", "2", "--b", "4"),
+])
+def test_a_vector_run_makes_one_checked_statistic_call_per_state(capsys, graph_file,
+                                                                 statistic_calls, argv):
+    argv = [graph_file if word == "GRAPH" else word for word in argv]
+    space = build_bundle(build_parser().parse_args(argv)).space
+    statistic_calls.clear()
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert sorted(statistic_calls) == sorted(space)
+
+
 FLAG_VALUES = {"a": "2", "b": "2", "n": "3", "k": "3", "graph": None}
 
 
@@ -751,4 +826,5 @@ def test_no_argv_escapes_as_a_traceback(fuzz_graphs, system, data):
             code = main(argv)
         except SystemExit as exc:  # argparse refuses the argv itself
             code = ("argparse", exc.code)
+    # exit 5 (an internal error) would be a fault in the program, so no argv may reach it
     assert code in (0, 2, 3, 4, ("argparse", 2)), argv

@@ -1,6 +1,7 @@
 """Orbit machinery, homomesy checks, decomposition, exact linear algebra."""
 import json
 from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import example, given, strategies as st
 
 from homomesy import engine
 from homomesy.cli import SYSTEMS, build_bundle, build_parser
+from homomesy.dynamics import rowmotion_ideal
 from homomesy.engine import (
+    ClosureViolation,
     Statistic,
     check_homomesy,
     homomesic_subspace,
@@ -20,6 +23,7 @@ from homomesy.engine import (
     rational_solve,
 )
 from homomesy.guards import GuardExceeded
+from homomesy.posets import GridPoset
 from homomesy.rationals import exact, format_rational, parse_rational
 from reference import invariant_homomesic_decomposition
 
@@ -229,6 +233,16 @@ class TestOrbitPartition:
                                              "the state space at 1$"):
             orbit_partition(rotate_mod(6), [2, 3, 5, 0])
 
+    def test_a_closure_violation_is_a_value_error_of_its_own_class(self):
+        with pytest.raises(ClosureViolation) as caught:
+            orbit_partition(rotate_mod(6), [0, 1, 2])
+        assert isinstance(caught.value, ValueError)
+        assert str(caught.value) == "closure violation: the map leaves the state space at 3"
+        # the other refusals stay plain ValueErrors
+        with pytest.raises(ValueError) as duplicate:
+            orbit_partition(swap_pairs, [0, 0, 1])
+        assert not isinstance(duplicate.value, ClosureViolation)
+
     def test_a_generator_is_read_once(self):
         assert orbit_partition(swap_pairs, (x for x in range(6))) == [(0, 1), (2, 3), (4, 5)]
 
@@ -250,6 +264,79 @@ class TestAverages:
         orbit = iterate_orbit(swap_pairs, 0)
         stat = Statistic("v", 2, lambda x: (x, 1 - x))
         assert orbit_average(stat, orbit) == (Fraction(1, 2), Fraction(1, 2))
+
+
+def summed_calls(statistic, orbit):
+    """An orbit average from Statistic.__call__ on every state, summed per
+    component: what orbit_average did before its scalar pass."""
+    vectors = [statistic(state) for state in orbit]
+    return tuple(Fraction(sum(column), len(orbit)) for column in zip(*vectors))
+
+
+def outcome(average, statistic, orbit):
+    """The average and its entries' types, or the exception type and message."""
+    try:
+        result = average(statistic, orbit)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return result, [type(v) for v in result]
+
+
+class Colour(IntEnum):
+    RED = 2
+
+
+class TestTheScalarPassIsTheCheckedPath:
+    """orbit_average checks a scalar statistic's values in one pass over
+    their types; a value that is not a bare int or Fraction is judged as
+    Statistic.__call__ judges it, with the same message."""
+
+    @pytest.mark.parametrize("odd", [
+        0.5, "5", True, Colour.RED, Fraction(1, 2), ExactInt(4), (3,), [Fraction(1, 3)],
+        b"\x01", (1, 2), (), None, Decimal("1.5"), (0.5,),
+    ], ids=repr)
+    def test_a_value_at_a_later_state(self, odd):
+        stat = Statistic.scalar("odd", lambda x: odd if x == 2 else x)
+        orbit = iterate_orbit(rotate_mod(4), 0)
+        assert outcome(orbit_average, stat, orbit) == outcome(summed_calls, stat, orbit)
+
+    def test_fn_runs_once_per_state_and_the_call_never(self, monkeypatch):
+        seen = []
+        stat = Statistic.scalar("id", lambda x: seen.append(x) or x)
+
+        def refuse(statistic, state):
+            raise AssertionError("Statistic.__call__ ran")
+
+        monkeypatch.setattr(Statistic, "__call__", refuse)
+        assert orbit_average(stat, (0, 1, 2, 3)) == (Fraction(3, 2),)
+        assert seen == [0, 1, 2, 3]
+
+
+class TestOneFractionPerDistinctTotal:
+    def test_indicator_averages_on_7x7(self, monkeypatch):
+        # an indicator's total over an orbit lies in 0..period, so the 49
+        # components of an average hold at most period + 1 distinct values
+        poset = GridPoset(7, 7)
+        n = len(poset.elements)
+        stat = Statistic("indicators", n, lambda s: [s >> i & 1 for i in range(n)])
+        orbits = orbit_partition(lambda s: rowmotion_ideal(poset, s),
+                                 poset.enumerate_order_ideals())
+        built = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return Fraction(*args)
+
+        monkeypatch.setattr(engine, "Fraction", CountingFraction)
+        total = 0
+        for orbit in orbits:
+            built.clear()
+            average = orbit_average(stat, orbit)
+            assert len(built) == len(set(average)) <= min(n, len(orbit) + 1)
+            total += len(built)
+            assert average == reference_orbit_average(stat, orbit)
+        assert 3 * total < len(orbits) * n  # 3092 Fractions for 12054 components
 
 
 class TestCheckHomomesy:

@@ -1,4 +1,5 @@
 """Poset construction, ideal/antichain machinery, and the grid poset."""
+import json
 import math
 import re
 import sys
@@ -356,6 +357,35 @@ def test_members_refuses_a_mask_outside_the_poset(poset):
     for mask in (-1, poset.full_mask + 1):
         with pytest.raises(ValueError, match=rf"^mask {mask} is outside 0\.\.15$"):
             poset.members(mask)
+
+
+@pytest.mark.parametrize("a,b", GRID_SIZES + [(1, 9), (9, 1)])
+def test_state_text_is_the_compact_json_of_state_pairs(a, b):
+    poset = GridPoset(a, b)
+    for state in poset.enumerate_order_ideals() + poset.enumerate_antichains():
+        assert poset.state_text(state) == json.dumps(poset.state_pairs(state),
+                                                     separators=(",", ":"))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 16 - 1))
+def test_state_text_reads_any_mask_in_range(a, b, bits):
+    # a mask that is neither an ideal nor an antichain may hold several runs per row
+    poset = GridPoset(a, b)
+    state = bits & poset.full_mask
+    assert poset.state_text(state) == json.dumps(poset.state_pairs(state),
+                                                 separators=(",", ":"))
+
+
+def test_state_text_refuses_a_mask_as_members_does():
+    poset = GridPoset(3, 4)
+    assert poset.state_text(0) == "[]"
+    for mask in (-1, poset.full_mask + 1):
+        with pytest.raises(ValueError) as text_refusal:
+            poset.state_text(mask)
+        with pytest.raises(ValueError) as members_refusal:
+            poset.members(mask)
+        assert str(text_refusal.value) == str(members_refusal.value) == \
+            f"mask {mask} is outside 0..4095"
 
 
 class TestGridBuildsNoGenericTables:
