@@ -27,7 +27,8 @@ the statistic's dimension exits 2 before the orbit walk. A system rejects any
 of --a/--b/--n/--k/--graph that it does not read, and lyness, which reads no
 statistic, rejects --stat. Exit codes: 0 success, 2 usage, 3 guard exceeded,
 4 an --expect-c expectation failed, 5 internal error (a map left its state
-space).
+space, or a self-check such as the Lyness orbit closing after five steps
+failed).
 """
 from __future__ import annotations
 
@@ -349,10 +350,20 @@ def _emit(args, doc: Callable[[], dict], csv_rows, table_lines) -> None:
         os.close(devnull)
 
 
+def _rationals(vector) -> list[str]:
+    """A vector's entries as lowest-terms p/q strings."""
+    return [format_rational(v) for v in vector]
+
+
+def _json_average(average):
+    """A scalar average as one p/q string, a vector one as a list of them."""
+    texts = _rationals(average)
+    return texts[0] if len(texts) == 1 else texts
+
+
 def _fmt_average(average) -> str:
-    if len(average) == 1:
-        return format_rational(average[0])
-    return "(" + ", ".join(format_rational(v) for v in average) + ")"
+    texts = _rationals(average)
+    return texts[0] if len(texts) == 1 else "(" + ", ".join(texts) + ")"
 
 
 def _orbit_table(bundle, summaries, footer_lines):
@@ -380,14 +391,26 @@ def _emit_report(args, bundle: Bundle, report, verdict: bool) -> None:
         f"c: {_fmt_average(report.c) if report.homomesic else '-'}",
         f"global average: {_fmt_average(report.global_average)}",
     ] if verdict else []
+    def doc():
+        document = {
+            "map": bundle.map_name,
+            "space": bundle.space_doc,
+            "statistic": report.statistic,
+            "orbits": [{"representative": bundle.to_json(s.representative),
+                        "period": s.period, "average": _json_average(s.average)}
+                       for s in summaries],
+        }
+        if verdict:
+            document |= {"global_average": _json_average(report.global_average),
+                         "homomesic": report.homomesic,
+                         "c": _json_average(report.c) if report.homomesic else None}
+        return document
     csv_rows = chain(
         [("representative", "period", "average")],
-        ((bundle.to_text(s.representative), s.period,
-          ";".join(format_rational(v) for v in s.average)) for s in summaries),
+        ((bundle.to_text(s.representative), s.period, ";".join(_rationals(s.average)))
+         for s in summaries),
     )
-    _emit(args, lambda: report.document(map_name=bundle.map_name, space=bundle.space_doc,
-                                        serialize_state=bundle.to_json, verdict=verdict),
-          csv_rows, _orbit_table(bundle, summaries, footer))
+    _emit(args, doc, csv_rows, _orbit_table(bundle, summaries, footer))
 
 
 def _check_expected_dimension(args, statistic: str, dimension: int) -> None:
@@ -404,8 +427,7 @@ def _check_expectation(args, homomesic: bool, c) -> int:
               file=sys.stderr)
         return EXIT_EXPECTATION
     if tuple(c) != args.expected_c:
-        got = ", ".join(format_rational(v) for v in c)
-        print(f"expectation failed: c = {got}, expected {args.expect_c}",
+        print(f"expectation failed: c = {', '.join(_rationals(c))}, expected {args.expect_c}",
               file=sys.stderr)
         return EXIT_EXPECTATION
     return EXIT_OK
@@ -523,18 +545,18 @@ def run_subspace(args) -> int:
             "space": bundle.space_doc,
             "element_order": [[k, l] for (k, l) in elements],
             "dimension": len(vectors),
-            "basis": [[format_rational(v) for v in vec] for vec in vectors],
+            "basis": [_rationals(vec) for vec in vectors],
             "generators": [{"name": name, "present": ok} for name, ok in checked],
         }
     csv_rows = chain([[f"{k},{l}" for (k, l) in elements]],
-                     ([format_rational(v) for v in vec] for vec in vectors))
+                     map(_rationals, vectors))
     table = chain(
         [f"system: {args.system}",
          f"space: {len(bundle.space)} states over [{poset.a}]x[{poset.b}]",
          f"element order: {', '.join(str(x) for x in elements)}",
          f"dimension: {len(vectors)}",
          "basis vectors:"],
-        ("  [" + ", ".join(format_rational(v) for v in vec) + "]" for vec in vectors),
+        ("  [" + ", ".join(_rationals(vec)) + "]" for vec in vectors),
         ["named generators:"],
         (f"  {'present' if ok else 'ABSENT '}  {name}" for name, ok in checked),
     )
@@ -596,7 +618,7 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ClosureViolation as exc:  # a bug in the program, not in its input
+    except (ClosureViolation, AssertionError) as exc:  # a bug in the program, not its input
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except ValueError as exc:

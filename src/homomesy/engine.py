@@ -14,6 +14,8 @@ statistic is checked through Statistic.__call__ on every state. A tau that
 leaves its space raises ClosureViolation. The subspace search drops
 repeated orbit rows, takes the kernel of the rows (-1, orbit average) by
 fraction-free integer elimination and makes Fractions only for the result.
+The engine renders nothing: a report holds exact values, and the CLI lays
+them out as a table, CSV or JSON.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from math import gcd, lcm
 from typing import Callable, Optional
 
 from .guards import DEFAULT_ORBIT_GUARD, GuardExceeded
-from .rationals import exact, format_rational
+from .rationals import exact
 
 
 _EXACT = (int, Fraction)
@@ -165,38 +167,6 @@ class HomomesyReport:
     global_average: tuple[Fraction, ...]
     homomesic: bool
     c: Optional[tuple[Fraction, ...]]
-
-    def document(self, *, map_name: str, space, serialize_state=repr,
-                 verdict: bool = True) -> dict:
-        """Structured JSON-ready form; rationals as lowest-terms p/q strings.
-
-        With verdict=False the document lists the orbits only, without the
-        global average, the verdict and c.
-        """
-        def fmt(vec):
-            if vec is None:
-                return None
-            if len(vec) == 1:
-                return format_rational(vec[0])
-            return [format_rational(v) for v in vec]
-
-        doc = {
-            "map": map_name,
-            "space": space,
-            "statistic": self.statistic,
-            "orbits": [
-                {
-                    "representative": serialize_state(o.representative),
-                    "period": o.period,
-                    "average": fmt(o.average),
-                }
-                for o in self.orbit_summaries
-            ],
-        }
-        if verdict:
-            doc.update(global_average=fmt(self.global_average),
-                       homomesic=self.homomesic, c=fmt(self.c))
-        return doc
 
 
 def check_homomesy(tau: Callable, space, statistic: Statistic,

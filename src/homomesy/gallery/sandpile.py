@@ -15,11 +15,13 @@ change: the walk starts at the maximal stable configuration on U, steps
 each orbit with `sandpile_tau`, and from each orbit's first state adds one
 grain at each other vertex of U and stabilizes to reach the other orbits.
 The recurrents are that walk crossed with every stable assignment of the
-vertices outside U. Each step validates its configuration once in
-`sandpile_tau`, and once more inside `sandpile_stabilize`; the firing
-statistic likewise. A grain count or an edge multiplicity that is not an
-int is refused, not truncated. The guard still reads the number of stable
-configurations, the product of the out-degrees, before the walk starts.
+vertices outside U. `sandpile_stabilize` is a kernel, like the poset
+kernels: it does not check its configuration. validate_config and
+is_stable, `sandpile_tau`, the firing statistic and the CLI seed are the
+checked entry points, so each step validates its configuration once. A
+grain count or an edge multiplicity that is not an int is refused, not
+truncated. The guard still reads the number of stable configurations,
+the product of the out-degrees, before the walk starts.
 
 Graph text format (see SandpileGraph.from_text): one directed edge bundle
 per line as "v w count", plus the headers "sink t" and "source s", once
@@ -156,12 +158,13 @@ class SandpileGraph:
 def sandpile_stabilize(graph: SandpileGraph, config, guard: int | None = None):
     """Fire unstable vertices until stable; returns (stable, firing_vector).
 
-    The abelian property makes the result schedule-independent. The guard
-    bounds total firings (it can only trip if sink reachability were
-    violated, which the constructor already excludes).
+    A kernel: config, one nonnegative int per non-sink vertex, is not
+    checked. The abelian property makes the result schedule-independent.
+    The guard bounds total firings (it can only trip if sink reachability
+    were violated, which the constructor already excludes).
     """
     guard = DEFAULT_ORBIT_GUARD if guard is None else guard
-    grains = list(graph.validate_config(config))
+    grains = list(config)
     n = len(grains)
     fired = [0] * n
     loss, gain, degrees = graph._fire_loss, graph._fire_gain, graph._degree

@@ -21,8 +21,8 @@ from homomesy.dynamics import (
     rowmotion_antichain,
     rowmotion_ideal,
 )
-from homomesy.engine import HomomesyReport, Statistic, orbit_average, orbit_partition
-from homomesy.gallery import sandpile
+from homomesy.engine import Statistic, orbit_average, orbit_partition
+from homomesy.gallery import lyness, sandpile
 from homomesy.posets import FinitePoset, GridPoset
 
 CYCLE4 = """1 2 1
@@ -153,10 +153,11 @@ class TestCheck:
 
     @pytest.mark.parametrize("fmt", ["table", "csv"])
     def test_only_json_builds_the_document(self, capsys, monkeypatch, fmt):
-        def refuse(self, **kwargs):
+        def refuse(self, state):
             raise AssertionError("the JSON document was built")
 
-        monkeypatch.setattr(HomomesyReport, "document", refuse)
+        # the grid states' JSON codec, which only the JSON document reads
+        monkeypatch.setattr(GridPoset, "state_pairs", refuse)
         code, out, err = run(capsys, "check", "grid-rowmotion-ideals",
                              "--a", "2", "--b", "2", "--format", fmt)
         assert code == 0 and err == "" and "1,1" in out
@@ -181,6 +182,14 @@ class TestCheck:
         assert (code, out) == (5, "")
         assert err == ("internal error: closure violation: the map leaves the state "
                        "space at 2\n")
+
+    def test_a_failed_self_check_exits_5(self, capsys, monkeypatch):
+        # a Lyness step that never closes the orbit fails lyness_cycle's own check
+        monkeypatch.setattr(lyness, "lyness_step", lambda s: lyness.LynessState(s.y, s.x + 1))
+        code, out, err = run(capsys, "check", "lyness")
+        assert (code, out) == (5, "")
+        assert err == "internal error: Lyness orbit failed to close after five steps\n"
+        assert "Traceback" not in err
 
     def test_missing_flags_exit_2(self, capsys):
         code, out, err = run(capsys, "check", "grid-rowmotion-ideals", "--a", "3")

@@ -338,7 +338,7 @@ class TestRecurrents:
         assert sandpile_tau(cycle4, (0, 1, 1)) == (1, 1, 0)
         assert sandpile_tau(cycle4, (1, 1, 0)) == (0, 1, 1)
 
-    def test_tau_validates_before_and_inside_stabilization(self, cycle4, monkeypatch):
+    def test_each_step_validates_its_configuration_once(self, cycle4, monkeypatch):
         calls = []
         original = SandpileGraph.validate_config
 
@@ -348,7 +348,11 @@ class TestRecurrents:
 
         monkeypatch.setattr(SandpileGraph, "validate_config", counting)
         assert sandpile_tau(cycle4, (1, 0, 1)) == (1, 1, 1)
-        assert len(calls) == 2  # its own check, then sandpile_stabilize's
+        assert len(calls) == 1  # its own check; sandpile_stabilize is a kernel
+        firing_statistic(cycle4)((1, 1, 1))
+        assert len(calls) == 2  # the statistic's own check
+        assert sandpile_stabilize(cycle4, (2, 0, 0)) == ((0, 1, 0), (1, 0, 0))
+        assert len(calls) == 2
 
     def test_negative_grain_at_the_source_is_rejected(self, cycle4):
         # -1 at the source would become 0 after the grain drop
