@@ -111,7 +111,7 @@ def _int_seed(text: str, what: str, example: str) -> tuple[int, ...]:
 
 
 def _comma_text(values) -> str:
-    return ",".join(str(v) for v in values)
+    return ",".join(map(str, values))
 
 
 # -- per-system bundles -------------------------------------------------------
@@ -366,25 +366,33 @@ def _fmt_average(average) -> str:
     return texts[0] if len(texts) == 1 else "(" + ", ".join(texts) + ")"
 
 
+def _average_texts(summaries, render) -> dict:
+    """render(average) for each distinct average tuple, keyed by its id.
+    Equal averages share one tuple (summarize_orbits), so each is rendered once."""
+    averages = {id(s.average): s.average for s in summaries}
+    return {key: render(average) for key, average in averages.items()}
+
+
 def _orbit_table(bundle, summaries, footer_lines):
     yield f"system: {bundle.system}"
     yield f"map: {bundle.map_name}"
     yield f"space: {json.dumps(bundle.space_doc, separators=(',', ': '))}"
     yield f"statistic: {bundle.statistic.name}"
-    rows = [(idx, s.period, _fmt_average(s.average), bundle.to_text(s.representative))
-            for idx, s in enumerate(summaries, start=1)]
+    texts = _average_texts(summaries, _fmt_average)
     titles = ("orbit", "period", "average", "representative")
+    widths = (len(str(len(summaries))), len(str(max(s.period for s in summaries))),
+              max(map(len, texts.values())))
     # the last column is not padded, so no line ends in spaces
-    widths = [max(len(t), *(len(str(row[i])) for row in rows))
-              for i, t in enumerate(titles[:-1])] + [0]
-    yield "  ".join(t.ljust(w) for t, w in zip(titles, widths))
-    for row in rows:
-        yield "  ".join(str(v).ljust(w) for v, w in zip(row, widths))
+    line = ("{:<%d}  {:<%d}  {:<%d}  {}" % tuple(map(max, map(len, titles), widths))).format
+    yield line(*titles)
+    for idx, s in enumerate(summaries, start=1):
+        yield line(idx, s.period, texts[id(s.average)], bundle.to_text(s.representative))
     yield from footer_lines
 
 
 def _emit_report(args, bundle: Bundle, report, verdict: bool) -> None:
-    """The orbit listing of a report; with verdict, also the homomesy verdict."""
+    """The orbit listing of a report; with verdict, also the homomesy verdict.
+    Each format renders each distinct average once."""
     summaries = report.orbit_summaries
     footer = [
         f"homomesic: {'yes' if report.homomesic else 'no'}",
@@ -392,12 +400,13 @@ def _emit_report(args, bundle: Bundle, report, verdict: bool) -> None:
         f"global average: {_fmt_average(report.global_average)}",
     ] if verdict else []
     def doc():
+        texts = _average_texts(summaries, _json_average)
         document = {
             "map": bundle.map_name,
             "space": bundle.space_doc,
             "statistic": report.statistic,
             "orbits": [{"representative": bundle.to_json(s.representative),
-                        "period": s.period, "average": _json_average(s.average)}
+                        "period": s.period, "average": texts[id(s.average)]}
                        for s in summaries],
         }
         if verdict:
@@ -405,12 +414,12 @@ def _emit_report(args, bundle: Bundle, report, verdict: bool) -> None:
                          "homomesic": report.homomesic,
                          "c": _json_average(report.c) if report.homomesic else None}
         return document
-    csv_rows = chain(
-        [("representative", "period", "average")],
-        ((bundle.to_text(s.representative), s.period, ";".join(_rationals(s.average)))
-         for s in summaries),
-    )
-    _emit(args, doc, csv_rows, _orbit_table(bundle, summaries, footer))
+    def csv_rows():
+        texts = _average_texts(summaries, lambda average: ";".join(_rationals(average)))
+        yield "representative", "period", "average"
+        for s in summaries:
+            yield bundle.to_text(s.representative), s.period, texts[id(s.average)]
+    _emit(args, doc, csv_rows(), _orbit_table(bundle, summaries, footer))
 
 
 def _check_expected_dimension(args, statistic: str, dimension: int) -> None:

@@ -5,15 +5,19 @@ hashable and mutually comparable (the smallest state of an orbit is its
 canonical representative). A statistic value is an int or a Fraction;
 anything else, a float included, raises. The check is one C-level pass
 over the types of a value's entries, not one isinstance per entry.
-Check and subspace both average through orbit_average: orbit sums stay
-exact ints (or Fractions) and each distinct sum of an orbit costs one
-Fraction division. A scalar statistic costs one pass per orbit: its fn over
-the orbit's states, then one C-level pass over the values' types, and
-summarize_orbits makes one checked Statistic.__call__ per run; a vector
-statistic is checked through Statistic.__call__ on every state. A tau that
-leaves its space raises ClosureViolation. The subspace search drops
-repeated orbit rows, takes the kernel of the rows (-1, orbit average) by
-fraction-free integer elimination and makes Fractions only for the result.
+Check and subspace walk the space with one orbit core and average through
+orbit_average: orbit sums stay exact ints (or Fractions) and each distinct
+sum of an orbit costs one Fraction division. check_homomesy walks the space
+orbit by orbit and summarizes each orbit as it closes, so it builds no list
+of orbits; summarize_orbits takes any iterable of orbits, returns its
+summaries sorted by representative, and lets equal averages share one
+tuple. A scalar statistic costs one pass per orbit: its fn over the orbit's
+states, then one C-level pass over the values' types, and summarize_orbits
+makes one checked Statistic.__call__ per run; a vector statistic is checked
+through Statistic.__call__ on every state. A tau that leaves its space
+raises ClosureViolation. The subspace search drops repeated orbit rows,
+takes the kernel of the rows (-1, orbit average) by fraction-free integer
+elimination and makes Fractions only for the result.
 The engine renders nothing: a report holds exact values, and the CLI lays
 them out as a table, CSV or JSON.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .guards import DEFAULT_ORBIT_GUARD, GuardExceeded
@@ -102,18 +107,19 @@ class ClosureViolation(ValueError):
     is wrong, not the caller's input."""
 
 
-def orbit_partition(tau: Callable, space, guard: int | None = None) -> list[tuple]:
-    """Partition a finite tau-closed state space into orbits.
+def _closed_orbits(tau: Callable, space, guard: int | None = None):
+    """Yield the orbits of a finite tau-closed state space, each as it closes.
 
-    Orbits come back sorted by their least state. A tau image outside the
-    space raises ClosureViolation, which names the first such state in
-    orbit order.
+    The walk takes the states in space order and yields the orbit of each
+    state that no earlier orbit holds. A repeated state raises ValueError,
+    and a tau image outside the space raises ClosureViolation, which names
+    the first such state in orbit order. A list space is walked as it is;
+    any other iterable is read once into a list.
     """
-    pool = list(space)
+    pool = space if isinstance(space, list) else list(space)
     unvisited = set(pool)
     if len(unvisited) != len(pool):
         raise ValueError("state space contains duplicate states")
-    orbits = []
     for state in pool:
         if state not in unvisited:
             continue
@@ -122,9 +128,18 @@ def orbit_partition(tau: Callable, space, guard: int | None = None) -> list[tupl
             s = next(s for s in orbit if s not in unvisited)
             raise ClosureViolation(f"closure violation: the map leaves the state space at {s!r}")
         unvisited.difference_update(orbit)
-        orbits.append(orbit)
-    orbits.sort()  # least states are distinct, so only index 0 is compared
-    return orbits
+        yield orbit
+
+
+def orbit_partition(tau: Callable, space, guard: int | None = None) -> list[tuple]:
+    """Partition a finite tau-closed state space into orbits.
+
+    Orbits come back sorted by their least state. A tau image outside the
+    space raises ClosureViolation, which names the first such state in
+    orbit order.
+    """
+    # least states are distinct, so only index 0 is compared
+    return sorted(_closed_orbits(tau, space, guard))
 
 
 def orbit_average(statistic: Statistic, orbit: tuple) -> tuple[Fraction, ...]:
@@ -147,7 +162,7 @@ def orbit_average(statistic: Statistic, orbit: tuple) -> tuple[Fraction, ...]:
     return tuple(map(average.__getitem__, totals))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitSummary:
     representative: object
     period: int
@@ -171,37 +186,57 @@ class HomomesyReport:
 
 def check_homomesy(tau: Callable, space, statistic: Statistic,
                    guard: int | None = None) -> HomomesyReport:
-    """Partition the space into orbits and compare orbit averages exactly."""
-    return summarize_orbits(orbit_partition(tau, space, guard), statistic)
+    """Walk the space orbit by orbit and compare orbit averages exactly.
+    Each orbit is averaged as it closes, so no list of orbits is built."""
+    return summarize_orbits(_closed_orbits(tau, space, guard), statistic)
 
 
 def summarize_orbits(orbits, statistic: Statistic) -> HomomesyReport:
     """Average the statistic over each given orbit and compare the averages
-    exactly; the report covers those orbits only."""
-    if not orbits:
+    exactly; the report covers those orbits only.
+
+    orbits is any iterable of orbit tuples, each starting at its least
+    state, in any order; the summaries come back sorted by representative.
+    Equal averages share one tuple: an average equal to the first orbit's
+    is that tuple, and each other value is kept once.
+    """
+    orbits = iter(orbits)
+    head = next(orbits, None)
+    if head is None:
         raise ValueError("cannot check homomesy on an empty state space")
     if statistic.dimension == 1:
         # orbit_average checks scalar values without Statistic.__call__,
         # which bench/spans.py times; one checked call keeps it on the path
-        statistic(orbits[0][0])
-    summaries = tuple(
-        OrbitSummary(o[0], len(o), orbit_average(statistic, o))
-        for o in orbits
-    )
-    homomesic = all(s.average == summaries[0].average for s in summaries)
-    c = summaries[0].average if homomesic else None
-    total_states = sum(s.period for s in summaries)
-    # when every orbit averages to c, so does the period-weighted mean
-    global_average = c if homomesic else tuple(
-        sum((s.period * s.average[i] for s in summaries), Fraction(0)) / total_states
-        for i in range(statistic.dimension)
-    )
+        statistic(head[0])
+    first = orbit_average(statistic, head)
+    summaries = [OrbitSummary(head[0], len(head), first)]
+    others: dict[tuple, tuple] = {}  # one equality test per orbit, a hash only on a mismatch
+    for orbit in orbits:
+        average = orbit_average(statistic, orbit)
+        average = first if average == first else others.setdefault(average, average)
+        summaries.append(OrbitSummary(orbit[0], len(orbit), average))
+    summaries.sort(key=attrgetter("representative"))
+    homomesic = not others
+    if homomesic:
+        # when every orbit averages to c, so does the period-weighted mean
+        global_average = first
+    else:
+        # the period-weighted mean, one product per distinct average
+        distinct = (first, *others)
+        periods = dict.fromkeys(map(id, distinct), 0)
+        for s in summaries:
+            periods[id(s.average)] += s.period
+        total_states = sum(periods.values())
+        global_average = tuple(
+            sum((periods[id(a)] * a[i] for a in distinct), Fraction(0)) / total_states
+            for i in range(statistic.dimension)
+        )
     return HomomesyReport(
         statistic=statistic.name,
-        orbit_summaries=summaries,
+        orbit_summaries=tuple(summaries),
         global_average=global_average,
         homomesic=homomesic,
-        c=c,
+        c=first if homomesic else None,
     )
 
 

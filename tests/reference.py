@@ -13,10 +13,15 @@ The package stores a +/- word as an int; the words section keeps the tuple
 words of +1 and -1 that it used before, with their enumeration, rotation,
 statistics, grid codecs and text helpers, and bit_code carries a tuple word
 to the int the package stores for it.
+
+The CLI streams its orbit table from one format string; the cli section
+keeps the list-based table it replaced.
 """
+import json
 from collections import deque
 from itertools import accumulate, combinations, product
 
+from homomesy.cli import _fmt_average
 from homomesy.engine import Statistic, orbit_partition, summarize_orbits
 from homomesy.gallery.sandpile import sandpile_tau
 from homomesy.gallery.ssyt import SSYT, _bender_knuth_steps
@@ -327,3 +332,24 @@ def invariant_homomesic_decomposition(tau, space, statistic, guard=None):
     f_mean = Statistic(f"{statistic.name}.orbit-mean", statistic.dimension, mean_part)
     f_centered = Statistic(f"{statistic.name}.centered", statistic.dimension, centered_part)
     return f_mean, f_centered
+
+
+# -- cli ----------------------------------------------------------------------
+
+def reference_orbit_table(bundle, summaries, footer_lines):
+    """The orbit table as a list of row tuples, each column padded to its
+    widest cell."""
+    yield f"system: {bundle.system}"
+    yield f"map: {bundle.map_name}"
+    yield f"space: {json.dumps(bundle.space_doc, separators=(',', ': '))}"
+    yield f"statistic: {bundle.statistic.name}"
+    rows = [(idx, s.period, _fmt_average(s.average), bundle.to_text(s.representative))
+            for idx, s in enumerate(summaries, start=1)]
+    titles = ("orbit", "period", "average", "representative")
+    # the last column is not padded, so no line ends in spaces
+    widths = [max(len(t), *(len(str(row[i])) for row in rows))
+              for i, t in enumerate(titles[:-1])] + [0]
+    yield "  ".join(t.ljust(w) for t, w in zip(titles, widths))
+    for row in rows:
+        yield "  ".join(str(v).ljust(w) for v, w in zip(row, widths))
+    yield from footer_lines

@@ -7,7 +7,9 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +23,11 @@ from homomesy.dynamics import (
     rowmotion_antichain,
     rowmotion_ideal,
 )
-from homomesy.engine import Statistic, orbit_average, orbit_partition
+from homomesy.engine import (OrbitSummary, Statistic, check_homomesy, orbit_average,
+                             orbit_partition)
 from homomesy.gallery import lyness, sandpile
 from homomesy.posets import FinitePoset, GridPoset
+from reference import reference_orbit_table
 
 CYCLE4 = """1 2 1
 2 1 1
@@ -486,6 +490,33 @@ def test_no_table_line_ends_in_a_space(capsys, graph_file, system):
         assert code == 0
         lines = out.splitlines()
         assert lines and all(line == line.rstrip() for line in lines), command
+
+
+@pytest.mark.parametrize("system", SAMPLE_SYSTEMS, ids=lambda argv: argv[0])
+def test_the_streamed_table_matches_the_list_based_one(graph_file, system):
+    argv = ("check",) + system + (("--graph", graph_file) if system[0] == "sandpile" else ())
+    bundle = build_bundle(build_parser().parse_args(argv))
+    report = check_homomesy(bundle.tau, bundle.space, bundle.statistic)
+    footer = ["homomesic: -"]
+    assert (list(cli._orbit_table(bundle, report.orbit_summaries, footer))
+            == list(reference_orbit_table(bundle, report.orbit_summaries, footer)))
+
+
+def test_the_streamed_table_pads_each_column_to_its_widest_cell():
+    # 100,000 orbits, a 7-digit period and vector averages of mixed widths:
+    # every padded column is wider than its title
+    shared = [(Fraction(1, 2), Fraction(0)), (Fraction(-123457, 3), Fraction(7)),
+              (Fraction(5), Fraction(22, 7))]
+    summaries = [OrbitSummary(i, 1_234_567 if i == 77 else i % 5 + 1, shared[i % 3])
+                 for i in range(100_000)]
+    summaries[5] = OrbitSummary(5, 3, (Fraction(-123457, 3), Fraction(7)))  # equal, not shared
+    bundle = SimpleNamespace(system="made-up", map_name="none", space_doc={"states": 0},
+                             statistic=Statistic("pair", 2, None), to_text=hex)
+    lines = list(cli._orbit_table(bundle, summaries, ["end"]))
+    assert lines == list(reference_orbit_table(bundle, summaries, ["end"]))
+    assert lines[4] == "orbit   period   average         representative"
+    assert lines[82] == "78      1234567  (5, 22/7)       0x4d"
+    assert lines[-2] == "100000  5        (1/2, 0)        0x1869f"
 
 
 # a parameter for each statistic prefix of the SAMPLE_SYSTEMS tables

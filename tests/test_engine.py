@@ -20,6 +20,7 @@ from homomesy.engine import (
     orbit_partition,
     rational_nullspace,
     rational_solve,
+    summarize_orbits,
 )
 from homomesy.guards import GuardExceeded
 from homomesy.posets import GridPoset
@@ -356,6 +357,50 @@ class TestCheckHomomesy:
         with pytest.raises(ValueError, match="empty"):
             check_homomesy(swap_pairs, [], Statistic.scalar("x", lambda x: x))
 
+    def test_a_homomesic_report_holds_one_average_object(self):
+        poset = GridPoset(3, 4)
+        report = check_homomesy(lambda s: rowmotion_ideal(poset, s),
+                                poset.enumerate_order_ideals(),
+                                Statistic.scalar("ideal-size", int.bit_count))
+        assert report.homomesic and len(report.orbit_summaries) > 1
+        assert all(s.average is report.c for s in report.orbit_summaries)
+        assert report.global_average is report.c
+
+    def test_a_non_homomesic_report_holds_one_object_per_distinct_average(self):
+        # the orbits (0, 1), (2, 3), (4, 5) average (0, 0), (1, 1), (0, 0)
+        report = check_homomesy(swap_pairs, range(6),
+                                Statistic("pair", 2, lambda x: (x // 2 % 2,) * 2))
+        first, second, third = (s.average for s in report.orbit_summaries)
+        assert not report.homomesic
+        assert first is third and first is not second
+        assert report.global_average == (Fraction(1, 3),) * 2
+
+    def test_summarize_orbits_sorts_a_generator_of_orbits(self):
+        orbits = [(4, 5), (0, 1), (2, 3)]
+        report = summarize_orbits((o for o in orbits), Statistic.scalar("x", lambda x: x))
+        assert [s.representative for s in report.orbit_summaries] == [0, 2, 4]
+        assert [s.average for s in report.orbit_summaries] == [
+            (Fraction(1, 2),), (Fraction(5, 2),), (Fraction(9, 2),)]
+        assert report.global_average == (Fraction(5, 2),)
+
+    def test_summarize_orbits_refuses_an_empty_iterable(self):
+        for orbits in ([], iter(()), (o for o in ())):
+            with pytest.raises(ValueError, match="empty state space"):
+                summarize_orbits(orbits, Statistic.scalar("x", lambda x: x))
+
+    def test_no_orbit_list_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("orbit_partition ran")
+
+        monkeypatch.setattr(engine, "orbit_partition", refuse)
+        report = check_homomesy(swap_pairs, range(6), Statistic.scalar("x", lambda x: x % 2))
+        assert report.homomesic and len(report.orbit_summaries) == 3
+        # the checks of the walk still hold without it
+        with pytest.raises(ValueError, match="duplicate"):
+            check_homomesy(swap_pairs, [0, 0, 1], Statistic.scalar("x", lambda x: x))
+        with pytest.raises(ClosureViolation, match="at 3$"):
+            check_homomesy(rotate_mod(6), [0, 1, 2], Statistic.scalar("x", lambda x: x))
+
 
 class TestDecomposition:
     @pytest.mark.parametrize("stat_fn", [lambda x: x, lambda x: x * x - 3])
@@ -513,6 +558,10 @@ class TestExactSumsMatchTheFractionLoops:
             ref_mean.update(dict.fromkeys(orbit, average))
 
         report = check_homomesy(tau, space, stat)
+        assert [(s.representative, s.period, s.average) for s in report.orbit_summaries] == [
+            (o[0], len(o), ref_mean[o[0]]) for o in orbits]
+        averages = [s.average for s in report.orbit_summaries]
+        assert len({id(a) for a in averages}) == len(set(averages))
         assert all_fractions(report.global_average)
         assert report.global_average == tuple(
             Fraction(sum(stat(x)[i] for x in space), n) for i in range(dim))
