@@ -5,19 +5,19 @@ hashable and mutually comparable (the smallest state of an orbit is its
 canonical representative). A statistic value is an int or a Fraction;
 anything else, a float included, raises. The check is one C-level pass
 over the types of a value's entries, not one isinstance per entry.
-Check and subspace walk the space with one orbit core and average through
-orbit_average: orbit sums stay exact ints (or Fractions) and each distinct
-sum of an orbit costs one Fraction division. check_homomesy walks the space
-orbit by orbit and summarizes each orbit as it closes, so it builds no list
-of orbits; summarize_orbits takes any iterable of orbits, returns its
-summaries sorted by representative, and lets equal averages share one
-tuple. A scalar statistic costs one pass per orbit: its fn over the orbit's
-states, then one C-level pass over the values' types, and summarize_orbits
-makes one checked Statistic.__call__ per run; a vector statistic is checked
-through Statistic.__call__ on every state. A tau that leaves its space
-raises ClosureViolation. The subspace search drops repeated orbit rows,
-takes the kernel of the rows (-1, orbit average) by fraction-free integer
-elimination and makes Fractions only for the result.
+Check and subspace walk the space with one orbit core, and any statistic
+costs one checked pass per orbit that keeps its sums exact ints (or
+Fractions). Only a run's first orbit is averaged, by orbit_average, which
+keeps Statistic.__call__ on the path. check_homomesy summarizes each orbit
+as it closes, so it builds no list of orbits; summarize_orbits takes any
+iterable of orbits, returns its summaries sorted by representative, and
+compares a later orbit of period p and sums s with the first average
+num/den by s * den == num * p, so equal averages share one tuple and only
+a different one costs Fractions. A tau that leaves its space raises
+ClosureViolation. The subspace search takes the kernel of the row (-1,
+first average) and the integer rows (-p, *s) of the other orbits, drops
+repeated rows, eliminates fraction-free and makes Fractions only for the
+result.
 The engine renders nothing: a report holds exact values, and the CLI lays
 them out as a table, CSV or JSON.
 """
@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Callable, Optional
 
 from .guards import DEFAULT_ORBIT_GUARD, GuardExceeded
@@ -35,6 +36,8 @@ from .rationals import exact
 
 _EXACT = (int, Fraction)
 _BARE_EXACT = frozenset(_EXACT)
+_BARE_INT = frozenset((int,))
+_VECTORS = frozenset((tuple, list, bytes))
 
 
 def _all_exact(values) -> bool:
@@ -142,24 +145,48 @@ def orbit_partition(tau: Callable, space, guard: int | None = None) -> list[tupl
     return sorted(_closed_orbits(tau, space, guard))
 
 
+def _orbit_totals(statistic: Statistic, orbit: tuple) -> list:
+    """The exact column sums of the statistic over one orbit: fn once per
+    state, then one C-level pass over the values' types (for a vector: each
+    a tuple, list or bytes of the declared length, then one pass over the
+    entries' types). Any other value goes through _as_vector, as in
+    Statistic.__call__, with the same message."""
+    values = list(map(statistic.fn, orbit))
+    dimension = statistic.dimension
+    if dimension == 1:
+        if _BARE_EXACT.issuperset(map(type, values)):
+            return [sum(values)]
+    elif (_VECTORS.issuperset(map(type, values)) and {dimension}.issuperset(map(len, values))
+          and _BARE_EXACT.issuperset(map(type, chain.from_iterable(values)))):
+        return [sum(column) for column in zip(*values)]
+    return [sum(column) for column in zip(*(_as_vector(v, dimension) for v in values))]
+
+
+def _average(totals, period: int) -> tuple[Fraction, ...]:
+    """The totals over period, one Fraction division per distinct total."""
+    average = {t: Fraction(t, period) for t in set(totals)}
+    return tuple(map(average.__getitem__, totals))
+
+
 def orbit_average(statistic: Statistic, orbit: tuple) -> tuple[Fraction, ...]:
     """Componentwise exact mean of the statistic over one orbit: native
     (int or Fraction) sums, then one Fraction division per distinct sum.
 
-    A scalar statistic's values are checked in one pass over their types,
-    and only a value that is not a bare int or Fraction goes through
-    _as_vector, as in Statistic.__call__; a vector statistic goes through
-    Statistic.__call__ state by state.
+    A scalar statistic's values are checked in one pass (_orbit_totals); a
+    vector statistic goes through Statistic.__call__ state by state.
     """
-    period = len(orbit)
     if statistic.dimension == 1:
-        values = list(map(statistic.fn, orbit))
-        if not _BARE_EXACT.issuperset(map(type, values)):
-            values = [_as_vector(v, 1)[0] for v in values]
-        return (Fraction(sum(values), period),)
-    totals = [sum(column) for column in zip(*map(statistic, orbit))]
-    average = {t: Fraction(t, period) for t in set(totals)}
-    return tuple(map(average.__getitem__, totals))
+        return _average(_orbit_totals(statistic, orbit), len(orbit))
+    return _average([sum(column) for column in zip(*map(statistic, orbit))], len(orbit))
+
+
+def _first_average(statistic: Statistic, orbit: tuple) -> tuple[Fraction, ...]:
+    """orbit_average of a run's first orbit, with one checked call on a
+    scalar statistic, so every run reaches Statistic.__call__, which
+    bench/spans.py times."""
+    if statistic.dimension == 1:
+        statistic(orbit[0])
+    return orbit_average(statistic, orbit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,23 +225,31 @@ def summarize_orbits(orbits, statistic: Statistic) -> HomomesyReport:
     orbits is any iterable of orbit tuples, each starting at its least
     state, in any order; the summaries come back sorted by representative.
     Equal averages share one tuple: an average equal to the first orbit's
-    is that tuple, and each other value is kept once.
+    is that tuple, and each other value is kept once. A later orbit is
+    compared by its sums, s_i * den_i == num_i * period, and only a
+    mismatch builds Fractions.
     """
     orbits = iter(orbits)
     head = next(orbits, None)
     if head is None:
         raise ValueError("cannot check homomesy on an empty state space")
-    if statistic.dimension == 1:
-        # orbit_average checks scalar values without Statistic.__call__,
-        # which bench/spans.py times; one checked call keeps it on the path
-        statistic(head[0])
-    first = orbit_average(statistic, head)
+    first = _first_average(statistic, head)
+    nums = [a.numerator for a in first]
+    dens = [a.denominator for a in first]
     summaries = [OrbitSummary(head[0], len(head), first)]
-    others: dict[tuple, tuple] = {}  # one equality test per orbit, a hash only on a mismatch
+    scalar = statistic.dimension == 1
+    others: dict[tuple, tuple] = {}  # a Fraction tuple and a hash only on a mismatch
     for orbit in orbits:
-        average = orbit_average(statistic, orbit)
-        average = first if average == first else others.setdefault(average, average)
-        summaries.append(OrbitSummary(orbit[0], len(orbit), average))
+        period = len(orbit)
+        totals = _orbit_totals(statistic, orbit)
+        # totals / period == first exactly when the cross products agree
+        if (totals[0] * dens[0] == nums[0] * period if scalar else
+                list(map(mul, totals, dens)) == list(map(mul, nums, repeat(period)))):
+            average = first
+        else:
+            average = _average(totals, period)
+            average = others.setdefault(average, average)
+        summaries.append(OrbitSummary(orbit[0], period, average))
     summaries.sort(key=attrgetter("representative"))
     homomesic = not others
     if homomesic:
@@ -247,14 +282,16 @@ def homomesic_subspace(tau: Callable, space, statistic: Statistic,
     Each component of the vector statistic is one basis function. The
     combination is t-mesic exactly when avg_o . c - t = 0 on every orbit o,
     so the pairs (t, c) are the kernel of the rows (-1, *avg_o); t comes
-    first, where it is always a pivot, and is dropped. The result is a
-    canonically reduced list of Fraction tuples (one per basis vector of the
-    subspace).
+    first, where it is always a pivot, and is dropped. After the first,
+    each row is scaled by the period p_o > 0 to the integer row (-p_o, *sums),
+    with the same kernel. The result is a canonically reduced list of
+    Fraction tuples (one per basis vector of the subspace).
     """
     orbits = orbit_partition(tau, space, guard)
     if not orbits:
         raise ValueError("cannot check homomesy on an empty state space")
-    rows = [(-1, *orbit_average(statistic, o)) for o in orbits]
+    rows = [(-1, *_first_average(statistic, orbits[0]))]
+    rows += [(-len(o), *_orbit_totals(statistic, o)) for o in orbits[1:]]
     return [vec[1:] for vec in rational_nullspace(rows, num_columns=statistic.dimension + 1)]
 
 
@@ -313,7 +350,10 @@ def _exact_rows(rows, num_columns):
 
 
 def _integer_row(entries) -> tuple[int, ...]:
-    """An exact row times the lcm of its denominators."""
+    """An exact row times the lcm of its denominators; a row of bare ints
+    as it is."""
+    if _BARE_INT.issuperset(map(type, entries)):
+        return tuple(entries)
     scale = lcm(*(v.denominator for v in entries))
     return tuple(v.numerator * (scale // v.denominator) for v in entries)
 

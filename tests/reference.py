@@ -15,14 +15,17 @@ statistics, grid codecs and text helpers, and bit_code carries a tuple word
 to the int the package stores for it.
 
 The CLI streams its orbit table from one format string; the cli section
-keeps the list-based table it replaced.
+keeps the list-based table it replaced. The engine's subspace search
+eliminates integer rows (-period, *sums); the engine section keeps the
+search from one Fraction row (-1, *average) per orbit that it replaced.
 """
 import json
 from collections import deque
 from itertools import accumulate, combinations, product
 
 from homomesy.cli import _fmt_average
-from homomesy.engine import Statistic, orbit_partition, summarize_orbits
+from homomesy.engine import (Statistic, orbit_average, orbit_partition, rational_nullspace,
+                             summarize_orbits)
 from homomesy.gallery.sandpile import sandpile_tau
 from homomesy.gallery.ssyt import SSYT, _bender_knuth_steps
 from homomesy.gallery.suter import require_member
@@ -332,6 +335,16 @@ def invariant_homomesic_decomposition(tau, space, statistic, guard=None):
     f_mean = Statistic(f"{statistic.name}.orbit-mean", statistic.dimension, mean_part)
     f_centered = Statistic(f"{statistic.name}.centered", statistic.dimension, centered_part)
     return f_mean, f_centered
+
+
+def fraction_row_subspace(tau, space, statistic, guard=None):
+    """homomesic_subspace from the Fraction rows (-1, *orbit_average(o)),
+    one per orbit o."""
+    orbits = orbit_partition(tau, space, guard)
+    if not orbits:
+        raise ValueError("cannot check homomesy on an empty state space")
+    rows = [(-1, *orbit_average(statistic, o)) for o in orbits]
+    return [vec[1:] for vec in rational_nullspace(rows, num_columns=statistic.dimension + 1)]
 
 
 # -- cli ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,8 +24,8 @@ from homomesy.dynamics import (
     rowmotion_antichain,
     rowmotion_ideal,
 )
-from homomesy.engine import (OrbitSummary, Statistic, check_homomesy, orbit_average,
-                             orbit_partition)
+from homomesy.engine import (OrbitSummary, Statistic, check_homomesy, homomesic_subspace,
+                             iterate_orbit, orbit_average, orbit_partition)
 from homomesy.gallery import lyness, sandpile
 from homomesy.posets import FinitePoset, GridPoset
 from reference import reference_orbit_table
@@ -569,19 +570,46 @@ def test_a_scalar_run_makes_one_checked_statistic_call(capsys, graph_file, stati
     assert (code, len(statistic_calls)) == (0, 1)
 
 
+@pytest.fixture
+def fn_calls(monkeypatch):
+    """The states on which the CLI's check and subspace runs evaluate their
+    statistic's fn, through Statistic.__call__ or not."""
+    calls = []
+
+    def counting(search):
+        def counted_search(tau, space, statistic, *args, **kwargs):
+            fn = statistic.fn
+
+            def counted(state):
+                calls.append(state)
+                return fn(state)
+
+            return search(tau, space, replace(statistic, fn=counted), *args, **kwargs)
+        return counted_search
+
+    monkeypatch.setattr(cli, "check_homomesy", counting(check_homomesy))
+    monkeypatch.setattr(cli, "homomesic_subspace", counting(homomesic_subspace))
+    return calls
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "sandpile", "--graph", "GRAPH"),
     ("subspace", "grid-rowmotion-ideals", "--a", "3", "--b", "3"),
     ("subspace", "grid-promotion-antichains", "--a", "2", "--b", "4"),
 ])
 def test_a_vector_run_makes_one_checked_statistic_call_per_state(capsys, graph_file,
-                                                                 statistic_calls, argv):
+                                                                 statistic_calls, fn_calls, argv):
+    # fn runs once on every state, and each value is checked; Statistic.__call__
+    # runs on the first orbit's states only, where orbit_average takes it
     argv = [graph_file if word == "GRAPH" else word for word in argv]
-    space = build_bundle(build_parser().parse_args(argv)).space
+    bundle = build_bundle(build_parser().parse_args(argv))
     statistic_calls.clear()
     code, out, err = run(capsys, *argv)
     assert code == 0
-    assert sorted(statistic_calls) == sorted(space)
+    assert sorted(fn_calls) == sorted(bundle.space)
+    # check walks from the first state of the space, subspace from the least
+    start = bundle.space[0] if argv[0] == "check" else min(bundle.space)
+    assert sorted(statistic_calls) == sorted(iterate_orbit(bundle.tau, start))
 
 
 FLAG_VALUES = {"a": "2", "b": "2", "n": "3", "k": "3", "graph": None}

@@ -1,4 +1,5 @@
 """Orbit machinery, homomesy checks, decomposition, exact linear algebra."""
+from dataclasses import replace
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
@@ -25,7 +26,7 @@ from homomesy.engine import (
 from homomesy.guards import GuardExceeded
 from homomesy.posets import GridPoset
 from homomesy.rationals import exact, format_rational
-from reference import invariant_homomesic_decomposition
+from reference import fraction_row_subspace, invariant_homomesic_decomposition
 
 
 def rotate_mod(n):
@@ -485,16 +486,94 @@ class TestHomomesicSubspace:
         assert len(homomesic_subspace(swap_pairs, range(4), indicators(4))) == 3
 
     def test_one_statistic_call_per_state(self, monkeypatch):
-        calls = []
+        # fn runs once per state; Statistic.__call__ runs on the first orbit's
+        # states, where orbit_average takes a vector statistic through it
+        evaluated, called = [], []
         original = Statistic.__call__
 
         def counted(stat, state):
-            calls.append(state)
+            called.append(state)
             return original(stat, state)
 
+        def counting(stat):
+            return replace(stat, fn=lambda x: evaluated.append(x) or stat.fn(x))
+
         monkeypatch.setattr(Statistic, "__call__", counted)
-        homomesic_subspace(swap_pairs, range(6), indicators(6))
-        assert sorted(calls) == list(range(6))
+        homomesic_subspace(swap_pairs, range(6), counting(indicators(6)))
+        assert (sorted(evaluated), called) == (list(range(6)), [0, 1])
+        # a scalar statistic gets one checked call on the least state
+        evaluated.clear()
+        called.clear()
+        homomesic_subspace(swap_pairs, range(6), counting(Statistic.scalar("x", lambda x: x)))
+        assert (sorted(evaluated), called) == ([0, *range(6)], [0])
+
+
+ORBITS = [(0, 1), (2, 3), (4, 5)]  # swap_pairs on range(6)
+
+
+def search(entry, statistic):
+    """entry's result on swap_pairs over range(6)."""
+    if entry == "check_homomesy":
+        return check_homomesy(swap_pairs, range(6), statistic)
+    if entry == "summarize_orbits":
+        return summarize_orbits(ORBITS, statistic)
+    return homomesic_subspace(swap_pairs, range(6), statistic)
+
+
+def odd_at_5(dimension, odd):
+    """A statistic whose value at state 5, on the last orbit, is odd() and
+    plain elsewhere: x for a scalar, (x, 1) for a pair."""
+    def fn(x):
+        if x == 5:
+            return odd()
+        return x if dimension == 1 else (x, 1)
+    return Statistic("f", dimension, fn)
+
+
+SEARCHES = ("check_homomesy", "summarize_orbits", "homomesic_subspace")
+
+
+class TestALaterOrbitIsCheckedInOnePass:
+    """A value on an orbit after the first, which only the one-pass check of
+    the orbit sums sees, is judged as Statistic.__call__ judges it."""
+
+    @pytest.mark.parametrize("entry", SEARCHES)
+    @pytest.mark.parametrize("dimension,odd,error,message", [
+        (1, 0.5, TypeError, "statistic value 0.5 is a float, not exact"),
+        (2, 0.5, TypeError, "statistic value 0.5 is a float, not exact"),
+        (1, "5", TypeError, "statistic value '5' is a str, not exact"),
+        (2, "5", TypeError, "statistic value '5' is a str, not exact"),
+        (2, (1, 2.5), TypeError, "statistic value 2.5 is a float, not exact"),
+        (2, [1, 2.5], TypeError, "statistic value 2.5 is a float, not exact"),
+        (2, (1, 2, 3), ValueError, "statistic value has dimension 3, declared 2"),
+        (2, (1,), ValueError, "statistic value has dimension 1, declared 2"),
+        (1, (1, 2), ValueError, "statistic value has dimension 2, declared 1"),
+    ])
+    def test_refused_with_the_checked_message(self, entry, dimension, odd, error, message):
+        assert checked(reference_as_vector, odd, dimension) == (error, message)
+        with pytest.raises(error) as caught:
+            search(entry, odd_at_5(dimension, lambda: odd))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("entry", SEARCHES)
+    @pytest.mark.parametrize("dimension,odd", [
+        (1, lambda: (v for v in [7])),
+        (2, lambda: (v for v in (7, 1))),
+        (1, lambda: True),
+        (2, lambda: (True, False)),
+        (1, lambda: Fraction(7, 3)),
+        (2, lambda: [Fraction(7, 3), 1]),
+        (2, lambda: (ExactFraction(2), ExactInt(3))),
+    ], ids=["generator", "generator-pair", "bool", "bool-pair", "fraction", "fraction-pair",
+            "subclass-pair"])
+    def test_accepted_as_the_checked_path_accepts(self, entry, dimension, odd):
+        statistic = odd_at_5(dimension, odd)
+        result = search(entry, statistic)
+        if entry == "homomesic_subspace":
+            assert result == reference_subspace(swap_pairs, range(6), statistic)
+        else:
+            assert [(s.representative, s.period, s.average) for s in result.orbit_summaries] == [
+                (o[0], 2, reference_orbit_average(statistic, o)) for o in ORBITS]
 
 
 def reference_orbit_average(statistic, orbit):
@@ -578,6 +657,77 @@ class TestExactSumsMatchTheFractionLoops:
         assert all(all_fractions(vec) for vec in kernel)
 
 
+@st.composite
+def cycle_systems(draw):
+    """(tau, n, table): a permutation of range(n) from random cycle lengths,
+    its states labelled at random, and a table of int, Fraction or mixed
+    statistic rows in which some cycles, whatever their lengths, average to
+    one shared target."""
+    lengths = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=6))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    target = draw(st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=4)] * dim))
+    entries = EXACT_VALUES[draw(st.sampled_from(sorted(EXACT_VALUES)))]
+    n = sum(lengths)
+    labels = draw(st.permutations(range(n)))
+    perm, table = [0] * n, [()] * n
+    start = 0
+    for period in lengths:
+        cycle = labels[start:start + period]
+        start += period
+        rows = draw(st.lists(st.tuples(*[entries] * dim), min_size=period, max_size=period))
+        if draw(st.booleans()):  # the last row makes this cycle average to target
+            last = (period * t - sum(row[i] for row in rows[:-1]) for i, t in enumerate(target))
+            rows[-1] = tuple(int(v) if v.denominator == 1 else v for v in last)
+        for k, state in enumerate(cycle):
+            perm[state] = cycle[(k + 1) % period]
+            table[state] = rows[k]
+    return perm.__getitem__, n, table
+
+
+# (0 1)(2 3 4 5): sums 3 over period 2 and 6 over period 4, both 3/2
+TWO_PERIODS = (1, 0, 3, 4, 5, 2).__getitem__
+
+
+class TestIntegerRowsMatchTheFractionRows:
+    @given(cycle_systems())
+    @example((TWO_PERIODS, 6, [(1,), (2,), (1,), (2,), (1,), (2,)]))
+    @example((TWO_PERIODS, 6, [(1, 0), (2, 1), (0, 1), (3, 1), (1, 0), (2, 0)]))
+    @example((TWO_PERIODS, 6, [(1, 0), (2, 1), (0, 1), (3, 1), (1, 0), (2, 1)]))
+    def test_subspace_and_shared_averages(self, system):
+        tau, n, table = system
+        dim = len(table[0])
+        stat = (Statistic.scalar("f", lambda x: table[x][0]) if dim == 1
+                else Statistic("f", dim, table.__getitem__))
+        kernel = homomesic_subspace(tau, range(n), stat)
+        assert kernel == fraction_row_subspace(tau, range(n), stat)
+        assert all(all_fractions(vec) for vec in kernel)
+        averages = [s.average for s in check_homomesy(tau, range(n), stat).orbit_summaries]
+        orbits = orbit_partition(tau, range(n))
+        assert averages == [reference_orbit_average(stat, o) for o in orbits]
+        assert len({id(a) for a in averages}) == len(set(averages))
+
+
+class TestEqualAveragesOverDifferentPeriods:
+    # the orbits (0, 1) and (2, 3, 4, 5) sum to 3 and 6: both average 3/2
+    values = {0: 1, 1: 2, 2: 0, 3: 3, 4: 1, 5: 2, 6: 4}
+
+    def test_the_first_average_is_shared(self):
+        stat = Statistic.scalar("v", self.values.__getitem__)
+        report = summarize_orbits([(0, 1), (2, 3, 4, 5)], stat)
+        pair, quad = report.orbit_summaries
+        assert (pair.period, quad.period) == (2, 4)
+        assert pair.average == (Fraction(3, 2),) and quad.average is pair.average
+        assert report.homomesic and report.c is pair.average
+
+    def test_another_average_is_shared(self):
+        stat = Statistic("v", 2, lambda x: (self.values[x], 2 * self.values[x]))
+        report = summarize_orbits([(6,), (2, 3, 4, 5), (0, 1)], stat)
+        pair, quad, fixed = report.orbit_summaries
+        assert fixed.average == (4, 8) and not report.homomesic
+        assert pair.average == (Fraction(3, 2), 3) and quad.average is pair.average
+        assert report.global_average == (Fraction(13, 7), Fraction(26, 7))
+
+
 GRID_SYSTEMS = sorted(name for name in SYSTEMS if name.startswith("grid-"))
 
 
@@ -650,6 +800,15 @@ class TestNullspace:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
             rational_nullspace([[1, 2], [1]])
+
+    def test_a_row_of_ints_is_used_as_it_is(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an int row was rescaled")
+
+        monkeypatch.setattr(engine, "lcm", refuse)
+        assert rational_nullspace([[1, 2, 3], (2, 4, 6)]) == [(-2, 1, 0), (-3, 0, 1)]
+        with pytest.raises(AssertionError, match="rescaled"):
+            rational_nullspace([[1, Fraction(1, 2)]])
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
