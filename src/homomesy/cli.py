@@ -45,7 +45,8 @@ from .dynamics import (format_pm_word, parse_pm_word, promotion_antichain, promo
                        rowmotion_antichain, rowmotion_ideal)
 from .engine import (ClosureViolation, Statistic, check_homomesy, homomesic_subspace,
                      in_reduced_span, iterate_orbit, summarize_orbits)
-from .gallery.lyness import LynessState, abs_h, lyness_cycle, lyness_orbit_product
+from .gallery.lyness import (LYNESS_ORDER, LynessState, abs_h, lyness_cycle,
+                             lyness_orbit_product)
 from .gallery.sandpile import SandpileGraph, firing_statistic, sandpile_recurrents
 from .gallery.ssyt import (SSYT, all_cells, cell_sum_statistic, rect_tableaux, require_cell,
                            ssyt_promotion)
@@ -473,6 +474,8 @@ def _run_lyness(args, verdict: bool) -> int:
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad lyness seed: {exc}") from None
     _check_expected_dimension(args, "log|h(x)|", 1)
+    if args.guard is not None and args.guard < LYNESS_ORDER:  # every orbit takes five steps
+        raise GuardExceeded(f"orbit did not close within {args.guard} steps")
     cycle = lyness_cycle(state)
     product = lyness_orbit_product(state)
     homomesic = product == 1

@@ -5,13 +5,13 @@ hashable and mutually comparable (the smallest state of an orbit is its
 canonical representative). A statistic value is an int or a Fraction;
 anything else, a float included, raises. The check is one C-level pass
 over the types of a value's entries, not one isinstance per entry.
-Check and subspace walk the space with one orbit core, and any statistic
-costs one checked pass per orbit that keeps its sums exact ints (or
-Fractions). Only a run's first orbit is averaged, by orbit_average, which
-keeps Statistic.__call__ on the path. check_homomesy summarizes each orbit
-as it closes, so it builds no list of orbits; summarize_orbits takes any
-iterable of orbits, returns its summaries sorted by representative, and
-compares a later orbit of period p and sums s with the first average
+Check and subspace walk the space with one orbit core, _closed_orbits,
+which yields each orbit as it closes, so neither builds a list of orbits.
+A run's first orbit is averaged by orbit_average, through
+Statistic.__call__ state by state; every later orbit costs one checked
+pass that keeps its sums exact ints (or Fractions). summarize_orbits takes
+any iterable of orbits, returns its summaries sorted by representative,
+and compares a later orbit of period p and sums s with the first average
 num/den by s * den == num * p, so equal averages share one tuple and only
 a different one costs Fractions. A tau that leaves its space raises
 ClosureViolation. The subspace search takes the kernel of the row (-1,
@@ -169,24 +169,10 @@ def _average(totals, period: int) -> tuple[Fraction, ...]:
 
 
 def orbit_average(statistic: Statistic, orbit: tuple) -> tuple[Fraction, ...]:
-    """Componentwise exact mean of the statistic over one orbit: native
-    (int or Fraction) sums, then one Fraction division per distinct sum.
-
-    A scalar statistic's values are checked in one pass (_orbit_totals); a
-    vector statistic goes through Statistic.__call__ state by state.
-    """
-    if statistic.dimension == 1:
-        return _average(_orbit_totals(statistic, orbit), len(orbit))
+    """Componentwise exact mean of the statistic over one orbit: each state
+    through Statistic.__call__, native (int or Fraction) sums, then one
+    Fraction division per distinct sum."""
     return _average([sum(column) for column in zip(*map(statistic, orbit))], len(orbit))
-
-
-def _first_average(statistic: Statistic, orbit: tuple) -> tuple[Fraction, ...]:
-    """orbit_average of a run's first orbit, with one checked call on a
-    scalar statistic, so every run reaches Statistic.__call__, which
-    bench/spans.py times."""
-    if statistic.dimension == 1:
-        statistic(orbit[0])
-    return orbit_average(statistic, orbit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,7 +219,7 @@ def summarize_orbits(orbits, statistic: Statistic) -> HomomesyReport:
     head = next(orbits, None)
     if head is None:
         raise ValueError("cannot check homomesy on an empty state space")
-    first = _first_average(statistic, head)
+    first = orbit_average(statistic, head)
     nums = [a.numerator for a in first]
     dens = [a.denominator for a in first]
     summaries = [OrbitSummary(head[0], len(head), first)]
@@ -285,13 +271,16 @@ def homomesic_subspace(tau: Callable, space, statistic: Statistic,
     first, where it is always a pivot, and is dropped. After the first,
     each row is scaled by the period p_o > 0 to the integer row (-p_o, *sums),
     with the same kernel. The result is a canonically reduced list of
-    Fraction tuples (one per basis vector of the subspace).
+    Fraction tuples (one per basis vector of the subspace). The orbits come
+    from check_homomesy's walk, in space order; the canonical kernel does not
+    depend on the order of the rows.
     """
-    orbits = orbit_partition(tau, space, guard)
-    if not orbits:
+    orbits = _closed_orbits(tau, space, guard)
+    head = next(orbits, None)
+    if head is None:
         raise ValueError("cannot check homomesy on an empty state space")
-    rows = [(-1, *_first_average(statistic, orbits[0]))]
-    rows += [(-len(o), *_orbit_totals(statistic, o)) for o in orbits[1:]]
+    rows = [(-1, *orbit_average(statistic, head))]
+    rows += [(-len(o), *_orbit_totals(statistic, o)) for o in orbits]
     return [vec[1:] for vec in rational_nullspace(rows, num_columns=statistic.dimension + 1)]
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homomesy
-from homomesy import cli
+from homomesy import cli, engine
 from homomesy.cli import SYSTEMS, build_bundle, build_parser, main
 from homomesy.dynamics import (
     promotion_antichain,
@@ -25,7 +25,7 @@ from homomesy.dynamics import (
     rowmotion_ideal,
 )
 from homomesy.engine import (OrbitSummary, Statistic, check_homomesy, homomesic_subspace,
-                             iterate_orbit, orbit_average, orbit_partition)
+                             iterate_orbit, orbit_average, orbit_partition, summarize_orbits)
 from homomesy.gallery import lyness, sandpile
 from homomesy.posets import FinitePoset, GridPoset
 from reference import reference_orbit_table
@@ -557,59 +557,80 @@ def statistic_calls(monkeypatch):
     return calls
 
 
-def test_a_scalar_run_makes_one_checked_statistic_call(capsys, graph_file, statistic_calls):
-    for argv, bundle in sample_statistics(graph_file):
-        if bundle.statistic.dimension != 1:
-            continue
-        for command in ("check", "orbits"):
-            statistic_calls.clear()
-            code, out, err = run(capsys, command, *argv[1:])
-            assert (code, len(statistic_calls)) == (0, 1), argv
-    statistic_calls.clear()
-    code, out, err = run(capsys, "orbits", "ballot", "--a", "2", "--b", "2", "--seed=-+-+")
-    assert (code, len(statistic_calls)) == (0, 1)
-
-
 @pytest.fixture
 def fn_calls(monkeypatch):
-    """The states on which the CLI's check and subspace runs evaluate their
-    statistic's fn, through Statistic.__call__ or not."""
+    """The states on which the CLI's check, orbits and subspace runs evaluate
+    their statistic's fn, through Statistic.__call__ or not."""
     calls = []
 
-    def counting(search):
-        def counted_search(tau, space, statistic, *args, **kwargs):
-            fn = statistic.fn
+    def counting(statistic):
+        fn = statistic.fn
 
-            def counted(state):
-                calls.append(state)
-                return fn(state)
+        def counted(state):
+            calls.append(state)
+            return fn(state)
 
-            return search(tau, space, replace(statistic, fn=counted), *args, **kwargs)
-        return counted_search
+        return replace(statistic, fn=counted)
 
-    monkeypatch.setattr(cli, "check_homomesy", counting(check_homomesy))
-    monkeypatch.setattr(cli, "homomesic_subspace", counting(homomesic_subspace))
+    monkeypatch.setattr(cli, "check_homomesy", lambda tau, space, statistic, **kwargs:
+                        check_homomesy(tau, space, counting(statistic), **kwargs))
+    monkeypatch.setattr(cli, "summarize_orbits", lambda orbits, statistic:
+                        summarize_orbits(orbits, counting(statistic)))
+    monkeypatch.setattr(cli, "homomesic_subspace", lambda tau, space, statistic, *args:
+                        homomesic_subspace(tau, space, counting(statistic), *args))
     return calls
 
 
-@pytest.mark.parametrize("argv", [
-    ("check", "sandpile", "--graph", "GRAPH"),
+SUBSPACE_RUNS = [
     ("subspace", "grid-rowmotion-ideals", "--a", "3", "--b", "3"),
     ("subspace", "grid-promotion-antichains", "--a", "2", "--b", "4"),
-])
-def test_a_vector_run_makes_one_checked_statistic_call_per_state(capsys, graph_file,
-                                                                 statistic_calls, fn_calls, argv):
-    # fn runs once on every state, and each value is checked; Statistic.__call__
-    # runs on the first orbit's states only, where orbit_average takes it
-    argv = [graph_file if word == "GRAPH" else word for word in argv]
-    bundle = build_bundle(build_parser().parse_args(argv))
-    statistic_calls.clear()
-    code, out, err = run(capsys, *argv)
-    assert code == 0
-    assert sorted(fn_calls) == sorted(bundle.space)
-    # check walks from the first state of the space, subspace from the least
-    start = bundle.space[0] if argv[0] == "check" else min(bundle.space)
-    assert sorted(statistic_calls) == sorted(iterate_orbit(bundle.tau, start))
+]
+SEED = "-+-+"
+SEEDED_RUN = ("orbits", "ballot", "--a", "2", "--b", "2", f"--seed={SEED}")
+
+
+def runs_of(command, graph_file):
+    """argv of the command's whole-space runs: every statistic of the
+    SAMPLE_SYSTEMS tables under 'check' or 'orbits', SUBSPACE_RUNS for
+    'subspace'."""
+    if command == "subspace":
+        return SUBSPACE_RUNS
+    return [(command, *argv[1:]) for argv, bundle in sample_statistics(graph_file)]
+
+
+@pytest.mark.parametrize("command", ["check", "orbits", "subspace"])
+def test_fn_runs_once_per_state_and_the_checked_call_on_the_first_orbit(
+        capsys, graph_file, statistic_calls, fn_calls, command):
+    # scalar or vector, fn runs once on every state and each value is
+    # checked; Statistic.__call__ runs on the states of the first orbit of
+    # the walk, which starts at the first state of the space, and only there
+    for argv in runs_of(command, graph_file):
+        bundle = build_bundle(build_parser().parse_args(argv))
+        statistic_calls.clear()
+        fn_calls.clear()
+        code, out, err = run(capsys, *argv)
+        assert code == 0, argv
+        assert sorted(fn_calls) == sorted(bundle.space), argv
+        assert statistic_calls == list(iterate_orbit(bundle.tau, bundle.space[0])), argv
+    if command == "orbits":
+        bundle = build_bundle(build_parser().parse_args(SEEDED_RUN))
+        statistic_calls.clear()
+        fn_calls.clear()
+        assert run(capsys, *SEEDED_RUN)[0] == 0
+        orbit = iterate_orbit(bundle.tau, bundle.parse_seed(SEED))
+        assert fn_calls == statistic_calls == list(orbit)
+
+
+@pytest.mark.parametrize("command", ["check", "orbits", "subspace"])
+def test_no_run_builds_the_orbit_list(capsys, graph_file, monkeypatch, command):
+    # every command walks the space orbit by orbit; orbit_partition is a
+    # library call only
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit_partition ran")
+
+    monkeypatch.setattr(engine, "orbit_partition", refuse)
+    for argv in runs_of(command, graph_file) + ([SEEDED_RUN] if command == "orbits" else []):
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 FLAG_VALUES = {"a": "2", "b": "2", "n": "3", "k": "3", "graph": None}
@@ -704,6 +725,26 @@ class TestLyness:
         code, out, err = run(capsys, "orbits", "lyness", "--expect-c", "0")
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["check", "orbits"])
+    @pytest.mark.parametrize("guard", [1, 4])
+    def test_a_guard_below_the_period_is_refused(self, capsys, monkeypatch, command, guard):
+        # every Lyness orbit takes five steps; the refusal comes before the walk
+        def refuse(*args, **kwargs):
+            raise AssertionError("the orbit walk ran")
+
+        monkeypatch.setattr(cli, "lyness_cycle", refuse)
+        code, out, err = run(capsys, command, "lyness", "--guard", str(guard))
+        assert (code, out) == (3, "")
+        assert err == f"guard exceeded: orbit did not close within {guard} steps\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_a_guard_of_the_period_prints_the_golden_output(self, capsys, fmt):
+        golden = Path(__file__).resolve().parent / "golden" / f"check-lyness-seed.{fmt}"
+        code, out, err = run(capsys, "check", "lyness", "--seed", "5/3,2/3",
+                             "--guard", str(lyness.LYNESS_ORDER), "--format", fmt)
+        with open(golden, encoding="utf-8", newline="") as expected:
+            assert (code, out, err) == (0, expected.read(), "")
 
 
 class TestSubspace:

@@ -269,7 +269,7 @@ class TestAverages:
 
 def summed_calls(statistic, orbit):
     """An orbit average from Statistic.__call__ on every state, summed per
-    component: what orbit_average did before its scalar pass."""
+    component: the checked path, which orbit_average takes."""
     vectors = [statistic(state) for state in orbit]
     return tuple(Fraction(sum(column), len(orbit)) for column in zip(*vectors))
 
@@ -287,8 +287,13 @@ class Colour(IntEnum):
     RED = 2
 
 
+def later_average(statistic, orbit):
+    """orbit's average in summarize_orbits, after a first orbit (-1,)."""
+    return summarize_orbits([(-1,), orbit], statistic).orbit_summaries[1].average
+
+
 class TestTheScalarPassIsTheCheckedPath:
-    """orbit_average checks a scalar statistic's values in one pass over
+    """summarize_orbits checks a later orbit's scalar values in one pass over
     their types; a value that is not a bare int or Fraction is judged as
     Statistic.__call__ judges it, with the same message."""
 
@@ -299,18 +304,22 @@ class TestTheScalarPassIsTheCheckedPath:
     def test_a_value_at_a_later_state(self, odd):
         stat = Statistic.scalar("odd", lambda x: odd if x == 2 else x)
         orbit = iterate_orbit(rotate_mod(4), 0)
-        assert outcome(orbit_average, stat, orbit) == outcome(summed_calls, stat, orbit)
+        assert outcome(later_average, stat, orbit) == outcome(summed_calls, stat, orbit)
 
     def test_fn_runs_once_per_state_and_the_call_never(self, monkeypatch):
-        seen = []
+        # on a later orbit: Statistic.__call__ runs on the first orbit's states only
+        seen, called = [], []
         stat = Statistic.scalar("id", lambda x: seen.append(x) or x)
+        original = Statistic.__call__
 
-        def refuse(statistic, state):
-            raise AssertionError("Statistic.__call__ ran")
+        def counted(statistic, state):
+            called.append(state)
+            return original(statistic, state)
 
-        monkeypatch.setattr(Statistic, "__call__", refuse)
-        assert orbit_average(stat, (0, 1, 2, 3)) == (Fraction(3, 2),)
-        assert seen == [0, 1, 2, 3]
+        monkeypatch.setattr(Statistic, "__call__", counted)
+        report = summarize_orbits([(4, 5), (0, 1, 2, 3)], stat)
+        assert [s.average for s in report.orbit_summaries] == [(Fraction(3, 2),), (Fraction(9, 2),)]
+        assert (seen, called) == ([4, 5, 0, 1, 2, 3], [4, 5])
 
 
 class TestOneFractionPerDistinctTotal:
@@ -396,11 +405,13 @@ class TestCheckHomomesy:
         monkeypatch.setattr(engine, "orbit_partition", refuse)
         report = check_homomesy(swap_pairs, range(6), Statistic.scalar("x", lambda x: x % 2))
         assert report.homomesic and len(report.orbit_summaries) == 3
+        assert len(homomesic_subspace(swap_pairs, range(4), indicators(4))) == 3
         # the checks of the walk still hold without it
-        with pytest.raises(ValueError, match="duplicate"):
-            check_homomesy(swap_pairs, [0, 0, 1], Statistic.scalar("x", lambda x: x))
-        with pytest.raises(ClosureViolation, match="at 3$"):
-            check_homomesy(rotate_mod(6), [0, 1, 2], Statistic.scalar("x", lambda x: x))
+        for search in (check_homomesy, homomesic_subspace):
+            with pytest.raises(ValueError, match="duplicate"):
+                search(swap_pairs, [0, 0, 1], Statistic.scalar("x", lambda x: x))
+            with pytest.raises(ClosureViolation, match="at 3$"):
+                search(rotate_mod(6), [0, 1, 2], Statistic.scalar("x", lambda x: x))
 
 
 class TestDecomposition:
@@ -501,11 +512,13 @@ class TestHomomesicSubspace:
         monkeypatch.setattr(Statistic, "__call__", counted)
         homomesic_subspace(swap_pairs, range(6), counting(indicators(6)))
         assert (sorted(evaluated), called) == (list(range(6)), [0, 1])
-        # a scalar statistic gets one checked call on the least state
+        # a scalar statistic goes the same way, and the walk starts at the
+        # first state of the space, not at the least
         evaluated.clear()
         called.clear()
-        homomesic_subspace(swap_pairs, range(6), counting(Statistic.scalar("x", lambda x: x)))
-        assert (sorted(evaluated), called) == ([0, *range(6)], [0])
+        homomesic_subspace(swap_pairs, [5, *range(5)],
+                           counting(Statistic.scalar("x", lambda x: x)))
+        assert (sorted(evaluated), called) == (list(range(6)), [4, 5])
 
 
 ORBITS = [(0, 1), (2, 3), (4, 5)]  # swap_pairs on range(6)
@@ -705,6 +718,17 @@ class TestIntegerRowsMatchTheFractionRows:
         orbits = orbit_partition(tau, range(n))
         assert averages == [reference_orbit_average(stat, o) for o in orbits]
         assert len({id(a) for a in averages}) == len(set(averages))
+
+    @given(cycle_systems(), st.data())
+    def test_a_shuffled_space_matches_the_sorted_fraction_rows(self, system, data):
+        # the rows come in the order of the walk over the shuffled space; the
+        # reference takes them sorted by least state
+        tau, n, table = system
+        space = data.draw(st.permutations(range(n)))
+        dim = len(table[0])
+        stat = (Statistic.scalar("f", lambda x: table[x][0]) if dim == 1
+                else Statistic("f", dim, table.__getitem__))
+        assert homomesic_subspace(tau, space, stat) == fraction_row_subspace(tau, range(n), stat)
 
 
 class TestEqualAveragesOverDifferentPeriods:

@@ -87,6 +87,10 @@ ALLOWED = {
     "gallery.sandpile.SandpileGraph.source_indicator",
     "gallery.sandpile.expected_firing_average",
     "engine.rational_solve",
+    # README documents orbit_partition as a library call, tests/reference.py
+    # and the acceptance suite use it, and the benchmark's tracer wraps it by
+    # name, so it stays defined; every command walks the orbits one by one
+    "engine.orbit_partition",
     # the cell sets of SSYT 'subspace' (ROADMAP item 2)
     "gallery.ssyt.centrally_symmetric_cell_sets",
     # README: entry(r, c) reads a 1-indexed entry. A cell sum calls it only to
