@@ -477,7 +477,7 @@ def _run_lyness(args, verdict: bool) -> int:
     if args.guard is not None and args.guard < LYNESS_ORDER:  # every orbit takes five steps
         raise GuardExceeded(f"orbit did not close within {args.guard} steps")
     cycle = lyness_cycle(state)
-    product = lyness_orbit_product(state)
+    product = lyness_orbit_product(cycle)
     homomesic = product == 1
 
     def pair(s):

@@ -13,11 +13,14 @@ pass that keeps its sums exact ints (or Fractions). summarize_orbits takes
 any iterable of orbits, returns its summaries sorted by representative,
 and compares a later orbit of period p and sums s with the first average
 num/den by s * den == num * p, so equal averages share one tuple and only
-a different one costs Fractions. A tau that leaves its space raises
-ClosureViolation. The subspace search takes the kernel of the row (-1,
-first average) and the integer rows (-p, *s) of the other orbits, drops
-repeated rows, eliminates fraction-free and makes Fractions only for the
-result.
+a different one costs Fractions. The global average is S/N, with S the
+statistic summed over all N states: the orbits that differ from the
+first add their sums, the others add the first average times their
+states, and a non-homomesic run pays one division per component. A tau
+that leaves its space raises ClosureViolation. The subspace search takes
+the kernel of the row (-1, first average) and the integer rows (-p, *s)
+of the other orbits, drops repeated rows, eliminates fraction-free and
+makes Fractions only for the result.
 The engine renders nothing: a report holds exact values, and the CLI lays
 them out as a table, CSV or JSON.
 """
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 from typing import Callable, Optional
 
 from .guards import DEFAULT_ORBIT_GUARD, GuardExceeded
@@ -187,7 +190,8 @@ class HomomesyReport:
     """Verdict of a full-space homomesy check.
 
     homomesic is True when every orbit average equals the common value c;
-    global_average is the space-wide mean (periods-weighted).
+    global_average is the space-wide mean S/N: the statistic summed over
+    the N states of the orbits, over N.
     """
 
     statistic: str
@@ -213,7 +217,9 @@ def summarize_orbits(orbits, statistic: Statistic) -> HomomesyReport:
     Equal averages share one tuple: an average equal to the first orbit's
     is that tuple, and each other value is kept once. A later orbit is
     compared by its sums, s_i * den_i == num_i * period, and only a
-    mismatch builds Fractions.
+    mismatch builds Fractions and adds its sums and period to those of the
+    other mismatches; the global average S/N counts every matching state
+    at the first average.
     """
     orbits = iter(orbits)
     head = next(orbits, None)
@@ -225,6 +231,7 @@ def summarize_orbits(orbits, statistic: Statistic) -> HomomesyReport:
     summaries = [OrbitSummary(head[0], len(head), first)]
     scalar = statistic.dimension == 1
     others: dict[tuple, tuple] = {}  # a Fraction tuple and a hash only on a mismatch
+    other_states, other_sums = 0, [0] * statistic.dimension
     for orbit in orbits:
         period = len(orbit)
         totals = _orbit_totals(statistic, orbit)
@@ -233,25 +240,19 @@ def summarize_orbits(orbits, statistic: Statistic) -> HomomesyReport:
                 list(map(mul, totals, dens)) == list(map(mul, nums, repeat(period)))):
             average = first
         else:
+            other_states += period
+            other_sums = list(map(add, other_sums, totals))
             average = _average(totals, period)
             average = others.setdefault(average, average)
         summaries.append(OrbitSummary(orbit[0], period, average))
     summaries.sort(key=attrgetter("representative"))
     homomesic = not others
     if homomesic:
-        # when every orbit averages to c, so does the period-weighted mean
         global_average = first
-    else:
-        # the period-weighted mean, one product per distinct average
-        distinct = (first, *others)
-        periods = dict.fromkeys(map(id, distinct), 0)
-        for s in summaries:
-            periods[id(s.average)] += s.period
-        total_states = sum(periods.values())
-        global_average = tuple(
-            sum((periods[id(a)] * a[i] for a in distinct), Fraction(0)) / total_states
-            for i in range(statistic.dimension)
-        )
+    else:  # S/N, where the first average stands for every orbit that matched it
+        states = sum(s.period for s in summaries)
+        global_average = _average(
+            [a * (states - other_states) + s for a, s in zip(first, other_sums)], states)
     return HomomesyReport(
         statistic=statistic.name,
         orbit_summaries=tuple(summaries),

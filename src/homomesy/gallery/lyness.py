@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from ..rationals import exact
 
@@ -54,9 +55,6 @@ def abs_h(z: Fraction) -> Fraction:
     return abs((z + 1) / (z * z))
 
 
-def lyness_orbit_product(state: LynessState) -> Fraction:
-    """Product of |h(x_i)| over the orbit's five abscissas (always 1)."""
-    product = Fraction(1)
-    for s in lyness_cycle(state):
-        product *= abs_h(s.x)
-    return product
+def lyness_orbit_product(cycle) -> Fraction:
+    """Product of |h(x_i)| over the five abscissas of a lyness_cycle (always 1)."""
+    return prod((abs_h(s.x) for s in cycle), start=Fraction(1))

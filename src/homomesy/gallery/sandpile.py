@@ -11,17 +11,17 @@ group Z^n / L'Z^n (Holroyd et al., "Chip-firing and rotor-routing on
 directed graphs", 2008), so `sandpile_recurrents` walks the group instead
 of stepping every stable configuration. A grain never leaves U, the
 non-sink vertices reachable from the source, so vertices outside U never
-change: the walk starts at the maximal stable configuration on U, steps
-each orbit with `sandpile_tau`, and from each orbit's first state adds one
-grain at each other vertex of U and stabilizes to reach the other orbits.
-The recurrents are that walk crossed with every stable assignment of the
-vertices outside U. `sandpile_stabilize` is a kernel, like the poset
-kernels: it does not check its configuration. validate_config and
-is_stable, `sandpile_tau`, the firing statistic and the CLI seed are the
-checked entry points, so each step validates its configuration once. A
-grain count or an edge multiplicity that is not an int is refused, not
-truncated. The guard still reads the number of stable configurations,
-the product of the out-degrees, before the walk starts.
+change: the walk starts once at each stable configuration that is maximal
+on U, steps each orbit with `sandpile_tau`, and from each orbit's first
+state adds one grain at each other vertex of U and stabilizes to reach
+the other orbits, so `sandpile_tau` steps every recurrent exactly once.
+`sandpile_stabilize` is a kernel, like the poset kernels: it does not
+check its configuration. validate_config and is_stable, `sandpile_tau`,
+the firing statistic and the CLI seed are the checked entry points, so
+each step validates its configuration once. A grain count or an edge
+multiplicity that is not an int is refused, not truncated. The guard
+still reads the number of stable configurations, the product of the
+out-degrees, before the walk starts.
 
 Graph text format (see SandpileGraph.from_text): one directed edge bundle
 per line as "v w count", plus the headers "sink t" and "source s", once
@@ -208,13 +208,13 @@ def sandpile_tau(graph: SandpileGraph, config, guard: int | None = None):
 def sandpile_recurrents(graph: SandpileGraph, guard: int | None = None) -> dict:
     """Recurrent configurations: the cycle states of the one-step dynamic.
 
-    Walks the orbits of tau from the maximal stable configuration on U, the
-    non-sink vertices reachable from the source, jumping between orbits by
-    one grain at a vertex of U, then crosses the result with every stable
-    assignment of the vertices outside U. Returns {recurrent: its tau
-    image} in ascending order of the recurrents, so the map that found them
-    also serves as tau on them. guard caps both the number of stable
-    configurations and the firings of each step.
+    Walks the orbits of tau from each stable configuration that is maximal
+    on U, the non-sink vertices reachable from the source, jumping between
+    orbits by one grain at a vertex of U; a vertex outside U keeps the
+    count it starts with. Returns {recurrent: its tau image} in ascending
+    order of the recurrents, so the map that found them also serves as tau
+    on them. guard caps both the number of stable configurations and the
+    firings of each step.
     """
     degrees = graph._degree
     check_space_size("the graph", product_factors(degrees), "stable configurations", guard)
@@ -227,7 +227,8 @@ def sandpile_recurrents(graph: SandpileGraph, guard: int | None = None) -> dict:
                 frontier.append(j)
     jumps = sorted(inside - {source})
     successor: dict = {}
-    pending = [tuple(d - 1 if i in inside else 0 for i, d in enumerate(degrees))]
+    pending = list(iter_product(*((d - 1,) if i in inside else range(d)
+                                  for i, d in enumerate(degrees))))
     while pending:
         first = pending.pop()
         if first in successor:
@@ -243,16 +244,6 @@ def sandpile_recurrents(graph: SandpileGraph, guard: int | None = None) -> dict:
             jumped = sandpile_stabilize(graph, bumped, guard)[0]
             if jumped not in successor:
                 pending.append(jumped)
-    outside = [i for i in range(len(degrees)) if i not in inside]
-    if outside:
-        crossed = {}
-        for fill in iter_product(*(range(degrees[i]) for i in outside)):
-            for state, image in successor.items():
-                state, image = list(state), list(image)
-                for i, g in zip(outside, fill):
-                    state[i] = image[i] = g
-                crossed[tuple(state)] = tuple(image)
-        successor = crossed
     return dict(sorted(successor.items()))
 
 

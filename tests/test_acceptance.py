@@ -214,7 +214,7 @@ def test_criterion_08_lyness():
     with criterion(8, "Lyness map has order five and unit |h| product"):
         cycle = lyness_cycle(LynessState(1, 3))
         assert [s.x for s in cycle] == [1, 3, 4, Fraction(5, 3), Fraction(2, 3)]
-        assert lyness_orbit_product(LynessState(1, 3)) == 1
+        assert lyness_orbit_product(cycle) == 1
 
         rng = random.Random(20260819)
         found = 0
@@ -224,8 +224,9 @@ def test_criterion_08_lyness():
             if x == 0 or y == 0 or x == -1 or y == -1 or x + y + 1 == 0:
                 continue
             state = LynessState(x, y)
-            assert len(lyness_cycle(state)) == 5
-            assert lyness_orbit_product(state) == 1
+            cycle = lyness_cycle(state)
+            assert len(cycle) == 5
+            assert lyness_orbit_product(cycle) == 1
             found += 1
 
 

@@ -29,6 +29,7 @@ from homomesy.engine import (OrbitSummary, Statistic, check_homomesy, homomesic_
 from homomesy.gallery import lyness, sandpile
 from homomesy.posets import FinitePoset, GridPoset
 from reference import reference_orbit_table
+from test_sandpile import UNREACHED
 
 CYCLE4 = """1 2 1
 2 1 1
@@ -269,7 +270,13 @@ class TestCheck:
         assert code == 0
         assert "homomesic: yes" in out
 
-    def test_sandpile_runs_tau_once_per_recurrent(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("text, recurrents", [
+        ("".join(f"{v} {w} 1\n" for v in "1234" for w in "1234" if v != w)
+         + "sink 4\nsource 1\n", 16),  # the spanning trees of K4
+        (UNREACHED, 6),  # c, outside what the source reaches, keeps each stable count
+    ], ids=["K4", "unreached"])
+    def test_sandpile_runs_tau_once_per_recurrent(self, capsys, monkeypatch, tmp_path,
+                                                  text, recurrents):
         # the walk that finds the recurrents steps each of them once
         calls = []
         original = sandpile.sandpile_tau
@@ -281,12 +288,11 @@ class TestCheck:
         for module in (sandpile, cli):  # every module that binds the function
             if getattr(module, "sandpile_tau", None) is original:
                 monkeypatch.setattr(module, "sandpile_tau", spy)
-        k4 = tmp_path / "k4.graph"
-        k4.write_text("".join(f"{v} {w} 1\n" for v in "1234" for w in "1234" if v != w)
-                      + "sink 4\nsource 1\n")
-        code, out, err = run(capsys, "check", "sandpile", "--graph", str(k4))
+        graph = tmp_path / "sandpile.graph"
+        graph.write_text(text)
+        code, out, err = run(capsys, "check", "sandpile", "--graph", str(graph))
         assert code == 0 and "homomesic: yes" in out
-        assert len(calls) == 16 == len(set(calls))  # the spanning trees of K4
+        assert len(calls) == recurrents == len(set(calls))
 
     def test_sandpile_requires_graph(self, capsys):
         code, out, err = run(capsys, "check", "sandpile")

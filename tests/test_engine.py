@@ -634,6 +634,9 @@ class TestExactSumsMatchTheFractionLoops:
     @given(permutation_systems())
     @example(((1, 0, 2).__getitem__, 3, [(0,), (2,), (1,)]))  # homomesic
     @example(((1, 0, 2).__getitem__, 3, [(0,), (2,), (5,)]))  # not homomesic
+    # a later orbit matches the first while another differs: global average 7/10
+    @example(((1, 0, 3, 2, 4).__getitem__, 5,
+              [(0,), (1,), (Fraction(1, 2),), (Fraction(1, 2),), (Fraction(3, 2),)]))
     def test_averages_split_and_subspace(self, system):
         tau, n, table = system
         dim = len(table[0])

@@ -45,7 +45,7 @@ def test_paper_orbit():
     values = [abs_h(x) for x in xs]
     assert values == [2, Fraction(4, 9), Fraction(5, 16),
                       Fraction(24, 25), Fraction(15, 4)]
-    assert lyness_orbit_product(LynessState(1, 3)) == 1
+    assert lyness_orbit_product(cycle) == 1
 
 
 def test_abs_h():
@@ -63,7 +63,7 @@ def test_order_five_and_unit_product(x, y):
     cycle = lyness_cycle(state)
     assert len(cycle) == LYNESS_ORDER
     assert lyness_step(cycle[-1]) == state
-    assert lyness_orbit_product(state) == 1
+    assert lyness_orbit_product(cycle) == 1
 
 
 @given(rational, rational)
