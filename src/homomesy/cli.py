@@ -39,12 +39,13 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from operator import mul
 from typing import Callable, Optional
 
 from .dynamics import (format_pm_word, parse_pm_word, promotion_antichain, promotion_ideal,
                        rowmotion_antichain, rowmotion_ideal)
-from .engine import (ClosureViolation, Statistic, check_homomesy, homomesic_subspace,
-                     in_reduced_span, iterate_orbit, summarize_orbits)
+from .engine import (ClosureViolation, Statistic, check_homomesy, complement_rows,
+                     homomesic_subspace, iterate_orbit, summarize_orbits)
 from .gallery.lyness import (LYNESS_ORDER, LynessState, abs_h, lyness_cycle,
                              lyness_orbit_product)
 from .gallery.sandpile import SandpileGraph, firing_statistic, sandpile_recurrents
@@ -549,7 +550,14 @@ def run_subspace(args) -> int:
 
     indicators = Statistic("indicators", len(elements), bits)
     vectors = homomesic_subspace(bundle.tau, bundle.space, indicators, args.guard)
-    checked = [(name, in_reduced_span(list(map(int.__sub__, bits(plus), bits(minus))), vectors))
+    complement = complement_rows(vectors, len(elements))
+
+    def in_span(plus, minus) -> bool:
+        # in the span exactly when every complement row annihilates it
+        generator = list(map(int.__sub__, bits(plus), bits(minus)))
+        return not any(sum(map(mul, row, generator)) for row in complement)
+
+    checked = [(name, in_span(plus, minus))
                for name, plus, minus in _named_generators(poset, args.system.endswith("-ideals"))]
     def doc():
         return {

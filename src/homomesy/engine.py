@@ -16,11 +16,15 @@ num/den by s * den == num * p, so equal averages share one tuple and only
 a different one costs Fractions. The global average is S/N, with S the
 statistic summed over all N states: the orbits that differ from the
 first add their sums, the others add the first average times their
-states, and a non-homomesic run pays one division per component. A tau
-that leaves its space raises ClosureViolation. The subspace search takes
-the kernel of the row (-1, first average) and the integer rows (-p, *s)
-of the other orbits, drops repeated rows, eliminates fraction-free and
-makes Fractions only for the result.
+states, and a non-homomesic run pays one division per component. bytes
+values (the grid indicators) are summed as packed little-endian ints
+while no column can carry. A tau that leaves its space raises
+ClosureViolation. The subspace search takes the kernel of the row
+(-1, first average) and the integer rows (-p, *s) of the other orbits,
+drops repeated rows, eliminates fraction-free, drops a row in the span by
+its residues at the free columns, and makes Fractions only for the
+result. A span test checks a vector against the integer complement rows
+of a canonical kernel, which complement_rows builds once.
 The engine renders nothing: a report holds exact values, and the CLI lays
 them out as a table, CSV or JSON.
 """
@@ -40,7 +44,8 @@ from .rationals import exact
 _EXACT = (int, Fraction)
 _BARE_EXACT = frozenset(_EXACT)
 _BARE_INT = frozenset((int,))
-_VECTORS = frozenset((tuple, list, bytes))
+_SEQUENCES = frozenset((tuple, list))
+_BYTES = frozenset((bytes,))
 
 
 def _all_exact(values) -> bool:
@@ -67,14 +72,15 @@ def _as_vector(value, dimension: int) -> tuple:
 class Statistic:
     """A named exact statistic: state -> vector of rationals.
 
-    fn may return an int, a Fraction, or a sequence of them (bytes of 0/1
-    included), which come back unconverted as a tuple; the declared
-    dimension is enforced on every evaluation and any other value (a float,
-    a digit string) is rejected. A scalar int or Fraction (or a subclass,
-    bool included) is wrapped at once; a sequence is checked in one pass
-    over its entries' types, and only a type other than int and Fraction
-    sends the entries through isinstance one by one, which names the first
-    offender.
+    fn may return an int, a Fraction, or a sequence of them, which come
+    back unconverted as a tuple; the declared dimension is enforced on
+    every evaluation and any other value (a float, a digit string) is
+    rejected. A scalar int or Fraction (or a subclass, bool included) is
+    wrapped at once; a sequence is checked in one pass over its entries'
+    types, and only a type other than int and Fraction sends the entries
+    through isinstance one by one, which names the first offender. The
+    entries of bytes are ints by construction, so an orbit of bytes values
+    is summed with no pass over their entries' types.
     """
 
     name: str
@@ -150,17 +156,28 @@ def orbit_partition(tau: Callable, space, guard: int | None = None) -> list[tupl
 
 def _orbit_totals(statistic: Statistic, orbit: tuple) -> list:
     """The exact column sums of the statistic over one orbit: fn once per
-    state, then one C-level pass over the values' types (for a vector: each
-    a tuple, list or bytes of the declared length, then one pass over the
-    entries' types). Any other value goes through _as_vector, as in
-    Statistic.__call__, with the same message."""
+    state, then one C-level pass over the values' types. Vector values that
+    are all tuples or lists of the declared length get one more pass over
+    their entries' types. Values that are all bytes of that length hold
+    ints by construction: when max entry * period <= 255, no column sum
+    carries into the next, so they are summed as little-endian ints and the
+    total is unpacked, and otherwise column by column. Any other value goes
+    through _as_vector, as in Statistic.__call__, with the same message."""
     values = list(map(statistic.fn, orbit))
     dimension = statistic.dimension
     if dimension == 1:
         if _BARE_EXACT.issuperset(map(type, values)):
             return [sum(values)]
-    elif (_VECTORS.issuperset(map(type, values)) and {dimension}.issuperset(map(len, values))
-          and _BARE_EXACT.issuperset(map(type, chain.from_iterable(values)))):
+    elif _SEQUENCES.issuperset(map(type, values)):
+        if ({dimension}.issuperset(map(len, values))
+                and _BARE_EXACT.issuperset(map(type, chain.from_iterable(values)))):
+            return [sum(column) for column in zip(*values)]
+    elif _BYTES.issuperset(map(type, values)) and {dimension}.issuperset(map(len, values)):
+        # deleting every byte value up to 255 // period leaves nothing
+        # exactly when no entry times the period exceeds 255
+        if not b"".join(values).translate(None, bytes(range(255 // len(values) + 1))):
+            total = sum(map(int.from_bytes, values, repeat("little")))
+            return list(total.to_bytes(dimension, "little"))
         return [sum(column) for column in zip(*values)]
     return [sum(column) for column in zip(*(_as_vector(v, dimension) for v in values))]
 
@@ -289,31 +306,44 @@ def homomesic_subspace(tau: Callable, space, statistic: Statistic,
 
 def in_reduced_span(vector, kernel) -> bool:
     """Whether vector lies in the span of a basis in rational_nullspace's
-    canonical reduced form.
+    canonical reduced form: whether every row of complement_rows(kernel)
+    annihilates it. Int and Fraction entries are used as they are; any
+    other entry goes through exact, which refuses floats.
+    """
+    vector = _exact_row(vector)
+    return not any(sum(map(mul, row, vector)) for row in complement_rows(kernel, len(vector)))
+
+
+def complement_rows(kernel, width: int) -> list[tuple[int, ...]]:
+    """Integer rows whose common kernel is the span of a basis in
+    rational_nullspace's canonical reduced form, each vector of the basis
+    of length width.
 
     Each basis vector there is 1 at its free column, which is its last
     nonzero entry, and 0 at every other free column. So the only candidate
-    combination weights each basis vector by vector's entry at that
-    basis vector's free column. Int and Fraction entries are used as they
-    are; any other entry goes through exact, which refuses floats.
+    combination for a vector v weights each basis vector K by v at K's free
+    column f, and v is in the span exactly when v[p] = sum of v[f] * K[p]
+    at every column p. That is one row e_p - sum of K[p] * e_f per column,
+    scaled to integers; at a free column it is 0 and is left out. A basis
+    vector of another length, or a zero one, is refused; Int and Fraction
+    entries are used as they are, and any other entry goes through exact.
     """
-    vector = _exact_row(vector)
-    combination = [0] * len(vector)
+    rows = [[0] * width for _ in range(width)]
+    for p, row in enumerate(rows):
+        row[p] = 1
     for basis_vector in kernel:
-        if len(basis_vector) != len(vector):
+        if len(basis_vector) != width:
             raise ValueError("vector and basis have different lengths")
         basis_vector = _exact_row(basis_vector)
-        free = len(basis_vector) - 1
+        free = width - 1
         while free >= 0 and not basis_vector[free]:
             free -= 1
         if free < 0:
             raise ValueError("a basis vector is zero")
-        weight = vector[free]
-        if weight:
-            for i, v in enumerate(basis_vector):
-                if v:
-                    combination[i] += weight * v
-    return combination == vector
+        for row, v in zip(rows, basis_vector):
+            if v:
+                row[free] -= v
+    return [_integer_row(row) for row in rows if any(row)]
 
 
 def _exact_row(values) -> list:
@@ -354,32 +384,44 @@ def rational_nullspace(rows, num_columns: int | None = None) -> list[tuple[Fract
     Fraction-free elimination (Bareiss, "Sylvester's identity and multistep
     integer-preserving Gaussian elimination", Math. Comp. 1968): each row is
     scaled to integers, and a repeated integer row, which adds nothing to the
-    kernel, is dropped before elimination. Each distinct row is reduced
-    against a basis of primitive integer rows, one per pivot column, each
-    zero before its pivot and at every other pivot. The kernel is then built
+    kernel, is dropped before elimination. The basis holds primitive integer
+    rows, one per pivot column, each zero before its pivot and at every other
+    pivot. A row reduced against it is L * row - sum over the pivots c of
+    (L / b_c[c]) * row[c] * b_c, with L the lcm of the pivots: 0 at every
+    pivot, and at a free column f the residue L * row[f] plus the row's
+    entries at the pivots dotted with the coefficients -(L / b_c[c]) * b_c[f],
+    which are rebuilt only when a pivot is added. A row whose residues are
+    all 0 is in the span and is dropped; otherwise its residue becomes a
+    basis row and is eliminated from the others. The kernel is then built
     once: one basis vector per free column f, with a 1 at f, 0 at the other
     free columns and -b[f]/b[c] at the pivot c of each basis row b.
     """
     mat, ncols = _exact_rows(rows, num_columns)
     basis: dict[int, list[int]] = {}
+    free, scale, coefficients = range(ncols), 1, [()] * ncols
     for row in dict.fromkeys(map(_integer_row, mat)):
-        for c, b in basis.items():
-            if row[c]:
-                k, m = b[c], row[c]
-                row = [k * x - m * y for x, y in zip(row, b)]
-        pivot = next((c for c, v in enumerate(row) if v), None)
-        if pivot is None:
+        at_pivots = list(map(row.__getitem__, basis))
+        residues = [scale * row[f] + sum(map(mul, at_pivots, coefficient))
+                    for f, coefficient in zip(free, coefficients)]
+        if not any(residues):
             continue
+        row = [0] * ncols
+        for f, r in zip(free, residues):
+            row[f] = r
+        pivot = next(f for f, r in zip(free, residues) if r)
         row = _primitive(row)
         for c, b in basis.items():
             if b[pivot]:
                 k, m = row[pivot], b[pivot]
                 basis[c] = _primitive([k * y - m * x for x, y in zip(row, b)])
         basis[pivot] = row
-        if len(basis) == ncols:
-            break
+        free = [c for c in range(ncols) if c not in basis]
+        scale = lcm(*(b[c] for c, b in basis.items()))
+        multipliers = [-(scale // b[c]) for c, b in basis.items()]
+        columns = list(zip(*basis.values()))
+        coefficients = [list(map(mul, multipliers, columns[f])) for f in free]
     kernel = []
-    for f in (c for c in range(ncols) if c not in basis):
+    for f in free:
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for c, b in basis.items():

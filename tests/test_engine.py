@@ -755,6 +755,33 @@ class TestEqualAveragesOverDifferentPeriods:
         assert report.global_average == (Fraction(13, 7), Fraction(26, 7))
 
 
+class TestPackedBytesSumsAtTheCarryBound:
+    """bytes values are summed as packed ints when max entry * period is at
+    most 255, where no column can carry into the next, and column by column
+    from 256 on."""
+
+    @pytest.mark.parametrize("period,top", [
+        (255, 1), (256, 1), (2, 127), (2, 128), (3, 85), (3, 86)])
+    def test_sums_match_the_column_sums(self, period, top):
+        # column 0 sums to top * period, where a packed sum would carry
+        cycle = [bytes((top, top * (x % 2), 0, top if x == 0 else x % 2)) for x in range(period)]
+        table = cycle + [bytes((1, 0, 2, top))]
+        stat = Statistic("bytes", 4, table.__getitem__)
+        assert engine._orbit_totals(stat, tuple(range(period))) == [
+            sum(column) for column in zip(*cycle)]
+        # the fixed point comes first in the space, so the cycle is a later orbit
+        def tau(x):
+            return x if x == period else (x + 1) % period
+
+        space = [period, *range(period)]
+        assert homomesic_subspace(tau, space, stat) == fraction_row_subspace(tau, space, stat)
+
+    def test_bytes_mixed_with_tuples_sum_as_checked_vectors(self):
+        table = [b"\x01\x02", (3, Fraction(1, 2)), [4, 5]]
+        stat = Statistic("mixed", 2, table.__getitem__)
+        assert engine._orbit_totals(stat, (0, 1, 2)) == [8, Fraction(15, 2)]
+
+
 GRID_SYSTEMS = sorted(name for name in SYSTEMS if name.startswith("grid-"))
 
 
@@ -802,6 +829,21 @@ def rational_matrices(draw):
     return rows, ncols
 
 
+# 30 integer combinations of 3 independent rows over 8 columns: rank 3
+TALL_BASE = ((1, 2, 0, -1, 3, 0, 1, 2), (0, 1, 1, 2, -1, 4, 0, 1), (2, 0, -3, 1, 0, 1, 5, -2))
+TALL_WEIGHTS = [(i % 3 - 1, i % 5 - 2, i % 7 - 3) for i in range(30)]
+
+
+def combinations_of(base, weights):
+    return [[sum(w * v for w, v in zip(ws, column)) for column in zip(*base)] for ws in weights]
+
+
+TALL = combinations_of(TALL_BASE, TALL_WEIGHTS)
+LATE = [0, 0, 0, 0, 0, 0, 1, 1]
+FRACTION_WEIGHTS = [(Fraction(i % 4 - 1, i % 3 + 1), Fraction(i % 5 - 2, 2), Fraction(1, i + 1))
+                    for i in range(30)]
+
+
 class TestNullspace:
     def test_identity_has_trivial_kernel(self):
         rows = [[1, 0], [0, 1]]
@@ -832,7 +874,16 @@ class TestNullspace:
         def refuse(*args):
             raise AssertionError("an int row was rescaled")
 
-        monkeypatch.setattr(engine, "lcm", refuse)
+        # the elimination takes the lcm of its pivots; only the scaling of
+        # each row to integers must leave an int row alone
+        integer_row = engine._integer_row
+
+        def spy(entries):
+            with monkeypatch.context() as scaling:
+                scaling.setattr(engine, "lcm", refuse)
+                return integer_row(entries)
+
+        monkeypatch.setattr(engine, "_integer_row", spy)
         assert rational_nullspace([[1, 2, 3], (2, 4, 6)]) == [(-2, 1, 0), (-3, 0, 1)]
         with pytest.raises(AssertionError, match="rescaled"):
             rational_nullspace([[1, Fraction(1, 2)]])
@@ -858,6 +909,11 @@ class TestNullspace:
     @given(rational_matrices())
     @example(([[0, 0], [1, 2], [2, 4], [1, 2]], 2))  # zero, scaled and repeated rows
     @example(([[0, 1, 1], [1, 1, 0], [1, 2, 1]], 3))  # a sum of two earlier rows
+    @example((TALL, 8))  # many more rows than the rank
+    # an independent row after 20 rows of rank 3 adds a late pivot, and the
+    # rows after it are in the span only with that row
+    @example((TALL[:20] + [LATE] + [[x + y for x, y in zip(row, LATE)] for row in TALL[20:]], 8))
+    @example((combinations_of(TALL_BASE, FRACTION_WEIGHTS), 8))
     def test_matches_the_reference_elimination(self, matrix):
         rows, ncols = matrix
         kernel = rational_nullspace(rows, ncols)

@@ -87,6 +87,10 @@ ALLOWED = {
     "gallery.sandpile.SandpileGraph.source_indicator",
     "gallery.sandpile.expected_firing_average",
     "engine.rational_solve",
+    # README: the span test of one vector against a canonical kernel;
+    # 'subspace' builds complement_rows once and checks every generator
+    # against those rows
+    "engine.in_reduced_span",
     # README documents orbit_partition as a library call, tests/reference.py
     # and the acceptance suite use it, and the benchmark's tracer wraps it by
     # name, so it stays defined; every command walks the orbits one by one
